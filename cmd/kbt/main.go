@@ -7,7 +7,7 @@
 //	kbt serve     [-granularity website|page|finest] [-shards N] [-batch N]
 //	              [-iters N] [-tol F] [-min-support N] [-top K] [-recompile]
 //	              [-full-aggregates] [-copydetect] [-fusion] [-listen ADDR]
-//	              [-lanes N] [-data DIR] [-checkpoint-every N]
+//	              [-data DIR] [-checkpoint-every N]
 //	              [-checkpoint-bytes N] [-checkpoint-interval D]
 //	              [-probe-backoff D] [-probe-max-backoff D] [file.tsv]
 //	kbt fuse      [-model accu|popaccu] [-n N] [-top K] [file.tsv]
@@ -29,10 +29,13 @@
 // start), then exposes the engine over HTTP: POST /v1/ingest and
 // /v1/refresh, GET /v1/top-sources, /v1/top-triples, /v1/source?name=,
 // /v1/copy-deps, /v1/fused?item=, /v1/healthz and /v1/stats (the
-// unversioned paths remain as deprecated aliases). -lanes N ingests through
-// N parallel hash-partitioned lanes. -copydetect maintains streaming copy
-// detection (and discounts detected copiers' votes); -fusion maintains the
-// single-layer fused per-item posteriors — both served from the current
+// unversioned paths remain as deprecated aliases). Each POST /v1/ingest
+// batch is admitted whole to one bounded queue and applied by a single
+// writer, so a batch is applied whole or not at all; -lanes is deprecated
+// and ignored. Clients that stall on their headers or requests, or idle on a
+// keep-alive connection, are disconnected. -copydetect maintains streaming
+// copy detection (and discounts detected copiers' votes); -fusion maintains
+// the single-layer fused per-item posteriors — both served from the current
 // generation. With -data DIR, ingest is write-ahead logged under DIR and
 // the engine state is recovered bit-exactly on restart; -checkpoint-every N
 // bounds recovery replay by checkpointing after every N refreshes,
@@ -215,7 +218,6 @@ type serveConfig struct {
 	top             int
 	batch           int
 	listen          string // "" = stdin-only mode
-	lanes           int
 	dataDir         string // "" = in-memory engine
 	checkpointEvery int
 	checkpointBytes int64
@@ -228,7 +230,27 @@ type serveConfig struct {
 	// shutdown trigger. Both are test hooks.
 	onListen func(addr string)
 	stop     <-chan struct{}
+	// limits (when non-zero) replaces the HTTP server's slow- and
+	// idle-client limits; a test hook, like onListen and stop.
+	limits httpLimits
 }
+
+// httpLimits bounds how long a client may hold a connection without making
+// progress, and how large its headers may be.
+type httpLimits struct {
+	readHeader, read, idle time.Duration
+	maxHeaderBytes         int
+}
+
+// The limits serve -listen enforces: a client that does not finish its
+// headers within readHeaderTimeout, or its whole request within readTimeout,
+// is disconnected, as is a keep-alive connection idle for idleTimeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 60 * time.Second
+	idleTimeout       = 120 * time.Second
+	maxHeaderBytes    = 64 << 10
+)
 
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
@@ -244,7 +266,7 @@ func cmdServe(args []string) error {
 	copyDetect := fs.Bool("copydetect", false, "maintain streaming copy detection and discount detected copiers' votes (GET /v1/copy-deps)")
 	fusionOn := fs.Bool("fusion", false, "maintain streaming single-layer fused per-item posteriors (GET /v1/fused?item=)")
 	listen := fs.String("listen", "", "serve the HTTP/JSON API on this address (e.g. :8080) after draining stdin/file input")
-	lanes := fs.Int("lanes", 1, "with -listen, number of parallel ingest lanes (records are hash-partitioned by website)")
+	fs.Int("lanes", 1, "deprecated and ignored: ingest always runs through one queue and one writer")
 	data := fs.String("data", "", "durable data directory: ingest is write-ahead logged and recovered on restart")
 	ckptEvery := fs.Int("checkpoint-every", 0, "with -data, checkpoint automatically after every N refreshes (0 = never)")
 	ckptBytes := fs.Int64("checkpoint-bytes", 0, "with -data, checkpoint automatically once the write-ahead log exceeds this many bytes (0 = never)")
@@ -260,7 +282,6 @@ func cmdServe(args []string) error {
 		top:             *top,
 		batch:           *batch,
 		listen:          *listen,
-		lanes:           *lanes,
 		dataDir:         *data,
 		checkpointEvery: *ckptEvery,
 		checkpointBytes: *ckptBytes,
@@ -469,13 +490,23 @@ func runServe(cfg serveConfig, in io.Reader, stdout, errw io.Writer) error {
 			}
 		}
 	}
-	srv := server.New(eng, server.Options{Lanes: cfg.lanes})
+	srv := server.New(eng, server.Options{})
 	defer srv.Close()
 	ln, err := net.Listen("tcp", cfg.listen)
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv}
+	lim := cfg.limits
+	if lim == (httpLimits{}) {
+		lim = httpLimits{readHeaderTimeout, readTimeout, idleTimeout, maxHeaderBytes}
+	}
+	hs := &http.Server{
+		Handler:           srv,
+		ReadHeaderTimeout: lim.readHeader,
+		ReadTimeout:       lim.read,
+		IdleTimeout:       lim.idle,
+		MaxHeaderBytes:    lim.maxHeaderBytes,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	fmt.Fprintf(stdout, "-- serving HTTP on %s\n", ln.Addr())

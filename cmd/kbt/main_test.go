@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -179,16 +180,15 @@ func TestServeListenPreloadsFeed(t *testing.T) {
 
 // TestServeDurableRestart: a -data server ingests over HTTP, shuts down, and
 // a second run on the same directory recovers the records and serves them.
-// Runs with multiple ingest lanes and a size-based checkpoint cadence so the
-// new serve knobs get end-to-end coverage, and queries the second run over
-// /v1 while the first uses the deprecated aliases.
+// Runs with a size-based checkpoint cadence so that serve knob gets
+// end-to-end coverage, and queries the second run over /v1 while the first
+// uses the deprecated aliases.
 func TestServeDurableRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := serveTestConfig()
 	cfg.dataDir = dir
 	cfg.checkpointEvery = 2
 	cfg.checkpointBytes = 512 // small enough that the 18-record feed trips it
-	cfg.lanes = 2
 
 	addr, shutdown := startServe(t, cfg, strings.NewReader(tsvFeed(18)))
 	base := "http://" + addr
@@ -241,5 +241,38 @@ func TestServeDurableRestart(t *testing.T) {
 	}
 	if err := shutdown2(); err != nil {
 		t.Fatalf("second shutdown: %v", err)
+	}
+}
+
+// TestServeClosesStalledClient: a client that sends part of a request line
+// and then stalls has its connection closed by the server once the header
+// deadline passes, instead of holding it forever.
+func TestServeClosesStalledClient(t *testing.T) {
+	cfg := serveTestConfig()
+	cfg.limits = httpLimits{
+		readHeader:     200 * time.Millisecond,
+		read:           time.Second,
+		idle:           time.Second,
+		maxHeaderBytes: 4 << 10,
+	}
+	addr, shutdown := startServe(t, cfg, strings.NewReader(""))
+	defer func() {
+		if err := shutdown(); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/ing"); err != nil {
+		t.Fatal(err)
+	}
+	// The server must hang up well before this client-side deadline.
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled connection was not closed by the server: %v", err)
 	}
 }

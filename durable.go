@@ -613,8 +613,8 @@ func (d *DurableEngine) IngestKeyed(key string, batch ...Extraction) error {
 }
 
 // Validate checks a batch against the engine's ingest validation without
-// logging or applying anything. Multi-lane servers use it to refuse a
-// malformed batch whole before its per-lane sub-batches are admitted.
+// logging or applying anything, so a caller can refuse a malformed batch
+// before doing any other work for it.
 func (d *DurableEngine) Validate(batch ...Extraction) error {
 	return d.eng.Load().Validate(batch...)
 }

@@ -1289,8 +1289,8 @@ func TestDurableIdempotencyAcrossRecovery(t *testing.T) {
 }
 
 // TestEngineIngestKeyed: the in-memory engine honours the same live dedup
-// contract (without persistence) so multi-lane servers behave identically
-// whether or not a durable directory is configured.
+// contract (without persistence) so the server behaves identically whether
+// or not a durable directory is configured.
 func TestEngineIngestKeyed(t *testing.T) {
 	e, err := NewEngine(durableTestOptions())
 	if err != nil {
@@ -1418,9 +1418,32 @@ func TestDurableChaosSweep(t *testing.T) {
 				}
 			}
 			ackedRecs := make(map[triple.Record]bool)
+			// Unkeyed batches get one attempt each: a batch is applied whole
+			// or not at all, so a failed one must contribute none of its
+			// records and an acked one all of them, live and after recovery.
+			type unkeyedBatch struct {
+				recs  []triple.Record
+				acked bool
+			}
+			var unkeyed []unkeyedBatch
+			checkUnkeyed := func(where string, recs []triple.Record) {
+				t.Helper()
+				have := make(map[triple.Record]bool, len(recs))
+				for _, r := range recs {
+					have[r] = true
+				}
+				for _, b := range unkeyed {
+					for _, r := range b.recs {
+						if have[r] != b.acked {
+							t.Fatalf("%s: unkeyed batch (acked=%v) has record %v present=%v",
+								where, b.acked, r, have[r])
+						}
+					}
+				}
+			}
 			next := 0
 			for step := 0; step < 40; step++ {
-				switch rng.Intn(5) {
+				switch rng.Intn(6) {
 				case 0, 1, 2: // keyed ingest with bounded retries
 					key := fmt.Sprintf("op-%d", step)
 					n := 1 + rng.Intn(3)
@@ -1487,6 +1510,29 @@ func TestDurableChaosSweep(t *testing.T) {
 						}
 					}
 					syncOracle(prev)
+				case 5: // unkeyed multi-record batch spanning four websites
+					n := 4 + rng.Intn(3)
+					b := make([]Extraction, n)
+					recs := make([]triple.Record, n)
+					for j := range b {
+						b[j] = unique(next)
+						recs[j] = b[j].record()
+						next++
+					}
+					err := d.Ingest(b...)
+					if err != nil && !errors.Is(err, ErrReadOnly) {
+						t.Fatalf("step %d: untyped unkeyed ingest error: %v", step, err)
+					}
+					unkeyed = append(unkeyed, unkeyedBatch{recs: recs, acked: err == nil})
+					if err != nil {
+						continue
+					}
+					if err := oracle.eng.Ingest(recs...); err != nil {
+						t.Fatal(err)
+					}
+					for _, r := range recs {
+						ackedRecs[r] = true
+					}
 				}
 			}
 
@@ -1512,6 +1558,7 @@ func TestDurableChaosSweep(t *testing.T) {
 				if d.Len() != oracle.Len() {
 					t.Fatalf("live %d records, oracle %d", d.Len(), oracle.Len())
 				}
+				checkUnkeyed("after heal", d.eng.Load().eng.Records())
 				rr, rok := d.Current()
 				or, ook := oracle.Current()
 				if rok != ook {
@@ -1564,6 +1611,7 @@ func TestDurableChaosSweep(t *testing.T) {
 			if rec.Len() != len(counts) {
 				t.Fatalf("recovered %d records, boundary %d", rec.Len(), len(counts))
 			}
+			checkUnkeyed("after recovery", rec.eng.Load().eng.Records())
 			bOracle := oracleFromBoundary(t, boundary, opt)
 			rr, rok := rec.Current()
 			or, ook := bOracle.Current()

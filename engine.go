@@ -169,8 +169,8 @@ func (e *Engine) IngestKeyed(key string, batch ...Extraction) error {
 }
 
 // Validate checks a batch against the same per-record validation Ingest
-// performs, without appending anything. Multi-lane servers use it to refuse
-// a malformed batch whole before splitting it across lanes.
+// performs, without appending anything, so a caller can refuse a malformed
+// batch before doing any other work for it.
 func (e *Engine) Validate(batch ...Extraction) error {
 	recs := make([]triple.Record, len(batch))
 	for i, x := range batch {

@@ -1,7 +1,11 @@
 // Package server is the HTTP/JSON front end on a kbt engine: batched,
-// backpressured ingest through bounded per-shard lanes, and lock-free reads
-// of the current generation — queries never block a running refresh, because
-// the engine's read path is an atomic generation load.
+// backpressured ingest through one bounded queue and one writer, and
+// lock-free reads of the current generation — queries never block a running
+// refresh, because the engine's read path is an atomic generation load.
+//
+// Every ingest batch reaches the engine as a single Ingest (or IngestKeyed)
+// call, so a batch is applied whole or not at all, and a 2xx acks a fully
+// applied (and, on a durable engine, fsync-ed) batch.
 //
 // The API is versioned under /v1/. The original unversioned paths remain as
 // deprecated aliases with identical behavior, marked with a Deprecation
@@ -13,11 +17,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"kbt"
@@ -28,7 +31,6 @@ import (
 type Engine interface {
 	Ingest(batch ...kbt.Extraction) error
 	IngestKeyed(key string, batch ...kbt.Extraction) error
-	Validate(batch ...kbt.Extraction) error
 	Len() int
 	Pending() int
 	Refresh() (*kbt.Result, error)
@@ -50,35 +52,20 @@ type HealthReporter interface {
 
 // Options configures New.
 type Options struct {
-	// Lanes is the number of parallel ingest lanes (default 1). Records are
-	// partitioned across lanes by a hash of their website, so one slow or
-	// large batch never stalls ingest of unrelated sources. With one lane
-	// the server behaves exactly as the original single-worker design: the
-	// whole batch is applied atomically. With more, a batch is split across
-	// its target lanes and acked only after every part is applied — an
-	// acked batch is never torn — but a batch refused by one lane may have
-	// been partially applied by others before the non-2xx response.
-	Lanes int
-	// Queue bounds the number of ingest jobs admitted but not yet applied,
-	// per lane; a POST /v1/ingest that finds any of its target lanes full
-	// is refused with 429 (default 64).
+	// Queue bounds the number of ingest batches admitted but not yet
+	// applied; a POST /v1/ingest that finds the queue full is refused with
+	// 429 (default 64).
 	Queue int
 	// RefreshEvery refreshes after every N applied batches (default 1;
 	// negative disables automatic refreshes — POST /v1/refresh still
-	// works). With one lane the refresh runs inline on the ingest worker;
-	// with more it runs on a dedicated refresher goroutine so ingest lanes
-	// keep draining while the model re-estimates (the engine supports
-	// concurrent Ingest during Refresh), and due refreshes arriving while
-	// one is already running coalesce into a single follow-up pass.
+	// works). The refresh runs inline on the writer, after the batch that
+	// made it due has been acked.
 	RefreshEvery int
 	// MaxBodyBytes bounds a request body (default 8 MiB).
 	MaxBodyBytes int64
 }
 
 func (o *Options) fill() {
-	if o.Lanes <= 0 {
-		o.Lanes = 1
-	}
 	if o.Queue <= 0 {
 		o.Queue = 64
 	}
@@ -90,78 +77,40 @@ func (o *Options) fill() {
 	}
 }
 
-// barrier joins the per-lane parts of one client batch back into one ack:
-// the last lane to finish reports the batch's verdict (its first error, or
-// nil) to the waiting handler, so a 2xx /v1/ingest response is a fully
-// applied (and, on a durable engine, fsync-ed) batch — admission alone is
-// never acked.
-type barrier struct {
-	remaining atomic.Int32
-	mu        sync.Mutex
-	firstErr  error
-	done      chan error
-}
-
-func (b *barrier) complete(s *Server, err error) {
-	if err != nil {
-		b.mu.Lock()
-		if b.firstErr == nil {
-			b.firstErr = err
-		}
-		b.mu.Unlock()
-	}
-	if b.remaining.Add(-1) != 0 {
-		return
-	}
-	b.mu.Lock()
-	err = b.firstErr
-	b.mu.Unlock()
-	b.done <- err
-	if err == nil {
-		s.batchApplied()
-	}
-}
-
-// laneJob is one lane's share of an admitted batch. key is the client
-// idempotency key, set only on whole-batch jobs (keyed batches are never
-// split across lanes).
-type laneJob struct {
+// job is one admitted batch: its records, its client idempotency key ("" for
+// none) and the channel the writer reports the engine's verdict on.
+type job struct {
 	batch []kbt.Extraction
 	key   string
-	bar   *barrier
+	done  chan error
 }
 
-// Server is an http.Handler. Ingest funnels through N lane workers — the
-// bounded lanes provide the backpressure boundary, and the website-hash
-// partition keeps each source's records on a single lane; queries go
-// straight to the engine's lock-free read path.
+// Server is an http.Handler. Ingest funnels through one bounded queue into a
+// single writer goroutine — the queue is the backpressure boundary; queries
+// go straight to the engine's lock-free read path.
 type Server struct {
 	eng   Engine
 	opt   Options
-	lanes []chan laneJob
+	queue chan job
 
 	mu       sync.Mutex
 	applied  int    // batches applied since the last automatic refresh
-	lastErr  string // most recent background refresh failure, "" when none
+	lastErr  string // most recent automatic refresh failure, "" when none
 	stopping bool
 
-	wg            sync.WaitGroup // lane workers
-	kick          chan struct{}  // nil with one lane (inline refresh)
-	refresherDone chan struct{}
-	stopped       chan struct{}
-	mux           *http.ServeMux
+	stopped chan struct{} // closed once the writer has drained the queue
+	mux     *http.ServeMux
 }
 
-// New starts a server (and its lane workers) on eng.
+// New starts a server (and its writer) on eng.
 func New(eng Engine, opt Options) *Server {
 	opt.fill()
 	s := &Server{
-		eng:           eng,
-		opt:           opt,
-		lanes:         make([]chan laneJob, opt.Lanes),
-		refresherDone: make(chan struct{}),
-		stopped:       make(chan struct{}),
-		mux:           http.NewServeMux(),
+		eng:     eng,
+		opt:     opt,
+		queue:   make(chan job, opt.Queue),
+		stopped: make(chan struct{}),
+		mux:     http.NewServeMux(),
 	}
 	s.route("/ingest", s.handleIngest)
 	s.route("/refresh", s.handleRefresh)
@@ -175,17 +124,7 @@ func New(eng Engine, opt Options) *Server {
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "not_found", "unknown path "+r.URL.Path)
 	})
-	for i := range s.lanes {
-		s.lanes[i] = make(chan laneJob, opt.Queue)
-		s.wg.Add(1)
-		go s.laneWorker(s.lanes[i])
-	}
-	if opt.Lanes > 1 {
-		s.kick = make(chan struct{}, 1)
-		go s.refresher()
-	} else {
-		close(s.refresherDone)
-	}
+	go s.writer()
 	return s
 }
 
@@ -201,43 +140,37 @@ func (s *Server) route(path string, h http.HandlerFunc) {
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close drains the admitted lanes (every admitted batch is still applied
-// and acked), stops the workers, and lets a running background refresh
-// finish.
+// Close drains the queue (every admitted batch is still applied and acked)
+// and stops the writer.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.stopping {
-		s.mu.Unlock()
-		<-s.stopped
-		return
+	if !s.stopping {
+		s.stopping = true
+		close(s.queue)
 	}
-	s.stopping = true
 	s.mu.Unlock()
-	for _, ch := range s.lanes {
-		close(ch)
-	}
-	s.wg.Wait()
-	if s.kick != nil {
-		close(s.kick)
-	}
-	<-s.refresherDone
-	close(s.stopped)
+	<-s.stopped
 }
 
-func (s *Server) laneWorker(ch chan laneJob) {
-	defer s.wg.Done()
-	for j := range ch {
+// writer applies admitted batches in order, one engine call per batch. It
+// acks the waiting handler first, then runs any refresh the batch made due.
+func (s *Server) writer() {
+	defer close(s.stopped)
+	for j := range s.queue {
 		var err error
 		if j.key != "" {
 			err = s.eng.IngestKeyed(j.key, j.batch...)
 		} else {
 			err = s.eng.Ingest(j.batch...)
 		}
-		j.bar.complete(s, err)
+		j.done <- err
+		if err == nil {
+			s.batchApplied()
+		}
 	}
 }
 
-// batchApplied does the refresh bookkeeping after a whole batch acked.
+// batchApplied does the refresh bookkeeping after a batch is acked.
 func (s *Server) batchApplied() {
 	s.mu.Lock()
 	s.applied++
@@ -249,17 +182,6 @@ func (s *Server) batchApplied() {
 	if !refresh {
 		return
 	}
-	if s.kick == nil {
-		s.refreshNow()
-		return
-	}
-	select {
-	case s.kick <- struct{}{}: // refresher picks it up
-	default: // one already pending; it will cover this batch too
-	}
-}
-
-func (s *Server) refreshNow() {
 	_, rerr := s.eng.Refresh()
 	s.mu.Lock()
 	if rerr != nil {
@@ -268,21 +190,6 @@ func (s *Server) refreshNow() {
 		s.lastErr = ""
 	}
 	s.mu.Unlock()
-}
-
-func (s *Server) refresher() {
-	defer close(s.refresherDone)
-	for range s.kick {
-		s.refreshNow()
-	}
-}
-
-// laneOf assigns a record to a lane by its website, so all of one source's
-// evidence flows through a single lane in arrival order.
-func laneOf(x kbt.Extraction, n int) int {
-	h := fnv.New32a()
-	h.Write([]byte(x.Website))
-	return int(h.Sum32() % uint32(n))
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -340,7 +247,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var batch []kbt.Extraction
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&batch); err != nil {
+	err := dec.Decode(&batch)
+	if err == nil {
+		// The body is exactly one JSON array: anything but whitespace after
+		// it refuses the whole request rather than dropping the rest.
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = errors.New("trailing data after the batch array")
+		}
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "malformed_batch", "malformed batch: "+err.Error())
 		return
 	}
@@ -348,67 +263,26 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "empty_batch", "empty batch")
 		return
 	}
-	// With multiple lanes a batch is split, so validation failures must be
-	// caught whole at the door — otherwise one lane could refuse its part
-	// after another already applied its own.
-	if s.opt.Lanes > 1 {
-		if err := s.eng.Validate(batch...); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid_record", err.Error())
-			return
-		}
-	}
 	// An Idempotency-Key header makes the batch retry-safe: the engine acks
-	// (without re-applying) a key it has already durably applied. A keyed
-	// batch is never split across lanes — per-lane parts would each need
-	// their own dedup entry, and a partial resend could then drop a part —
-	// so it flows whole through one lane picked by hashing the key.
-	key := r.Header.Get("Idempotency-Key")
-	parts := make([][]kbt.Extraction, s.opt.Lanes)
-	switch {
-	case s.opt.Lanes == 1:
-		parts[0] = batch
-	case key != "":
-		h := fnv.New32a()
-		h.Write([]byte(key))
-		parts[h.Sum32()%uint32(s.opt.Lanes)] = batch
-	default:
-		for _, x := range batch {
-			l := laneOf(x, s.opt.Lanes)
-			parts[l] = append(parts[l], x)
-		}
-	}
-	bar := &barrier{done: make(chan error, 1)}
-	for _, p := range parts {
-		if len(p) > 0 {
-			bar.remaining.Add(1)
-		}
-	}
+	// (without re-applying) a key it has already durably applied.
+	j := job{batch: batch, key: r.Header.Get("Idempotency-Key"), done: make(chan error, 1)}
 	// Admission happens under mu so Close (which also takes mu before
-	// closing the lanes) can never race a send on a closed lane, and the
-	// capacity check below cannot be invalidated by a concurrent admit:
-	// lane workers only drain, so a lane seen non-full stays admittable
-	// until we send. Admission is all-or-nothing — either every target
-	// lane takes its part, or the whole batch is refused with 429.
+	// closing the queue) can never race a send on a closed queue.
 	s.mu.Lock()
 	if s.stopping {
 		s.mu.Unlock()
 		writeRetryError(w, http.StatusServiceUnavailable, "shutting_down", "shutting down", 1)
 		return
 	}
-	for l, p := range parts {
-		if len(p) > 0 && len(s.lanes[l]) == cap(s.lanes[l]) {
-			s.mu.Unlock()
-			writeRetryError(w, http.StatusTooManyRequests, "queue_full", "ingest queue full, retry later", 1)
-			return
-		}
+	select {
+	case s.queue <- j:
+		s.mu.Unlock()
+	default:
+		s.mu.Unlock()
+		writeRetryError(w, http.StatusTooManyRequests, "queue_full", "ingest queue full, retry later", 1)
+		return
 	}
-	for l, p := range parts {
-		if len(p) > 0 {
-			s.lanes[l] <- laneJob{batch: p, key: key, bar: bar}
-		}
-	}
-	s.mu.Unlock()
-	if err := <-bar.done; err != nil {
+	if err := <-j.done; err != nil {
 		switch {
 		case errors.Is(err, kbt.ErrReadOnly):
 			// Storage fault: the engine is serving reads only. Retryable —
@@ -611,7 +485,6 @@ type statsReply struct {
 	Records   int               `json:"records"`
 	Pending   int               `json:"pending"`
 	Queued    int               `json:"queued"`
-	Lanes     int               `json:"lanes"`
 	Refreshed bool              `json:"refreshed"`
 	Refresh   *kbt.RefreshStats `json:"refresh,omitempty"`
 	LastError string            `json:"last_error,omitempty"`
@@ -629,15 +502,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
 		return
 	}
-	queued := 0
-	for _, ch := range s.lanes {
-		queued += len(ch)
-	}
 	reply := statsReply{
 		Records: s.eng.Len(),
 		Pending: s.eng.Pending(),
-		Queued:  queued,
-		Lanes:   s.opt.Lanes,
+		Queued:  len(s.queue),
 	}
 	if st, ok := s.eng.Stats(); ok {
 		reply.Refreshed = true

@@ -26,8 +26,8 @@ func benchEngine(b *testing.B) *kbt.Engine {
 	return eng
 }
 
-// benchPayloads pre-marshals a cycle of ingest bodies: each batch spreads
-// over many websites so a multi-lane server actually partitions it.
+// benchPayloads pre-marshals a cycle of ingest bodies, each batch spread
+// over many websites.
 func benchPayloads(b *testing.B, count, per int) [][]byte {
 	b.Helper()
 	payloads := make([][]byte, count)
@@ -53,32 +53,28 @@ func benchPayloads(b *testing.B, count, per int) [][]byte {
 	return payloads
 }
 
-// BenchmarkServerIngest measures concurrent POST /v1/ingest throughput with
-// periodic automatic refreshes, single-worker versus multi-lane. The lanes
-// win is refresh/ingest overlap: with one lane the worker refreshes inline
-// and every queued batch stalls behind the EM pass; with several, the
-// refresher runs beside the lanes and ingest keeps draining. The acceptance
-// bar is lanes=4 ≥2x lanes=1 at GOMAXPROCS >= 4.
+// BenchmarkServerIngest measures concurrent POST /v1/ingest throughput on an
+// in-memory engine with periodic automatic refreshes, which the writer runs
+// inline. The sub-benchmark keeps its historical lanes=1 name so the CI
+// baseline carries over.
 func BenchmarkServerIngest(b *testing.B) {
 	payloads := benchPayloads(b, 64, 64)
-	for _, lanes := range []int{1, 4} {
-		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
-			srv := New(benchEngine(b), Options{Lanes: lanes, Queue: 256, RefreshEvery: 4})
-			defer srv.Close()
-			var next atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					i := next.Add(1)
-					req := httptest.NewRequest(http.MethodPost, "/v1/ingest",
-						bytes.NewReader(payloads[int(i)%len(payloads)]))
-					rec := httptest.NewRecorder()
-					srv.ServeHTTP(rec, req)
-					if rec.Code != http.StatusOK {
-						b.Fatalf("ingest = %d: %s", rec.Code, rec.Body.String())
-					}
+	b.Run("lanes=1", func(b *testing.B) {
+		srv := New(benchEngine(b), Options{Queue: 256, RefreshEvery: 4})
+		defer srv.Close()
+		var next atomic.Int64
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				i := next.Add(1)
+				req := httptest.NewRequest(http.MethodPost, "/v1/ingest",
+					bytes.NewReader(payloads[int(i)%len(payloads)]))
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					b.Fatalf("ingest = %d: %s", rec.Code, rec.Body.String())
 				}
-			})
+			}
 		})
-	}
+	})
 }

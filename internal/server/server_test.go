@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -98,7 +99,8 @@ func waitRefreshed(t *testing.T, ts *httptest.Server) {
 }
 
 func TestIngestQueryRoundTrip(t *testing.T) {
-	srv := New(testEngine(t), Options{})
+	eng := testEngine(t)
+	srv := New(eng, Options{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -126,6 +128,10 @@ func TestIngestQueryRoundTrip(t *testing.T) {
 	decodeInto(t, resp, &ack)
 	if resp.StatusCode != http.StatusOK || ack["ingested"] != 24 {
 		t.Fatalf("ingest = %d, ack %v", resp.StatusCode, ack)
+	}
+	// A 2xx is an applied batch, not merely an admitted one.
+	if got := eng.Len(); got != 24 {
+		t.Fatalf("engine holds %d records at the ack, want 24", got)
 	}
 	waitRefreshed(t, ts)
 
@@ -177,16 +183,18 @@ func TestIngestQueryRoundTrip(t *testing.T) {
 	}
 	var st statsReply
 	decodeInto(t, resp, &st)
-	if st.Records != 24 || !st.Refreshed || st.Refresh == nil || st.LastError != "" || st.Lanes != 1 {
+	if st.Records != 24 || !st.Refreshed || st.Refresh == nil || st.LastError != "" {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
 // TestBadRequests pins the status code AND the machine-readable envelope
 // code of every error path: each non-2xx body must decode into
-// {"error": ..., "code": ...} with both fields populated.
+// {"error": ..., "code": ...} with both fields populated, and no refused
+// ingest may leave a record behind.
 func TestBadRequests(t *testing.T) {
-	srv := New(testEngine(t), Options{})
+	eng := testEngine(t)
+	srv := New(eng, Options{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -197,6 +205,9 @@ func TestBadRequests(t *testing.T) {
 		code                     string
 	}{
 		{"garbage body", "POST", "/v1/ingest", "{not json", http.StatusBadRequest, "malformed_batch"},
+		{"trailing data", "POST", "/v1/ingest",
+			"[" + validRecord + "] [" + validRecord + "," + validRecord + "] garbage",
+			http.StatusBadRequest, "malformed_batch"}, // one array, then more: refused whole
 		{"object not array", "POST", "/v1/ingest", `{"Subject":"s"}`, http.StatusBadRequest, "malformed_batch"},
 		{"unknown field", "POST", "/v1/ingest", `[{"Nope":"x"}]`, http.StatusBadRequest, "malformed_batch"},
 		{"empty batch", "POST", "/v1/ingest", `[]`, http.StatusBadRequest, "empty_batch"},
@@ -224,6 +235,7 @@ func TestBadRequests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			before := eng.Len()
 			resp, err := http.DefaultClient.Do(req)
 			if err != nil {
 				t.Fatal(err)
@@ -236,9 +248,15 @@ func TestBadRequests(t *testing.T) {
 			if envelope.Code != tc.code || envelope.Error == "" {
 				t.Fatalf("envelope = %+v, want code %q and a message", envelope, tc.code)
 			}
+			if got := eng.Len(); got != before {
+				t.Fatalf("refused request changed the engine from %d to %d records", before, got)
+			}
 		})
 	}
 }
+
+// validRecord is one well-formed extraction in wire form.
+const validRecord = `{"Extractor":"E","Website":"w.com","Page":"w.com/p","Subject":"s","Predicate":"p","Object":"o"}`
 
 // TestDeprecatedAliases pins that every unversioned path behaves exactly as
 // its /v1 successor — same status, same body — and is marked deprecated,
@@ -300,9 +318,8 @@ func TestDeprecatedAliases(t *testing.T) {
 	}
 }
 
-// gatedEngine blocks Ingest until fed from gate, so tests can hold lane
-// workers busy and fill queues deterministically. Validate (used by the
-// multi-lane admission path) is not gated.
+// gatedEngine blocks Ingest until fed from gate, so tests can hold the
+// writer busy and fill the queue deterministically.
 type gatedEngine struct {
 	*kbt.Engine
 	gate chan struct{}
@@ -330,7 +347,7 @@ func TestQueueFullReturns429(t *testing.T) {
 	}
 	// Wait until the queue is saturated: worker holds one job, two queued.
 	deadline := time.Now().Add(5 * time.Second)
-	for len(srv.lanes[0]) < 2 {
+	for len(srv.queue) < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("queue never filled")
 		}
@@ -348,6 +365,9 @@ func TestQueueFullReturns429(t *testing.T) {
 	} else if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
 		t.Fatalf("429 Retry-After = %q, want a positive integer of seconds", ra)
 	}
+	if got := len(srv.queue); got != 2 {
+		t.Fatalf("refused batch left residue: queue holds %d jobs, want 2", got)
+	}
 
 	close(ge.gate) // release the worker; the three admitted posts all ack
 	for i := 0; i < 3; i++ {
@@ -364,152 +384,12 @@ func TestQueueFullReturns429(t *testing.T) {
 	}
 }
 
-// twoLaneWebsites returns one website hashing to lane 0 and one to lane 1
-// under a 2-lane split.
-func twoLaneWebsites(t *testing.T) (w0, w1 string) {
-	t.Helper()
-	for i := 0; i < 100 && (w0 == "" || w1 == ""); i++ {
-		w := fmt.Sprintf("site%d.com", i)
-		switch laneOf(kbt.Extraction{Website: w}, 2) {
-		case 0:
-			if w0 == "" {
-				w0 = w
-			}
-		case 1:
-			if w1 == "" {
-				w1 = w
-			}
-		}
-	}
-	if w0 == "" || w1 == "" {
-		t.Fatal("could not find websites for both lanes")
-	}
-	return w0, w1
-}
-
-func laneRecord(website string, i int) kbt.Extraction {
-	return kbt.Extraction{
-		Extractor: "E0",
-		Website:   website,
-		Page:      website + "/p",
-		Subject:   fmt.Sprintf("s%d", i),
-		Predicate: "born",
-		Object:    "o",
-	}
-}
-
-// TestLaneBarrierAcksAfterAllParts pins acked-before-2xx across the lane
-// split: a batch spanning two lanes must not ack while any part is still
-// unapplied, and must ack once both are.
-func TestLaneBarrierAcksAfterAllParts(t *testing.T) {
-	ge := &gatedEngine{Engine: testEngine(t), gate: make(chan struct{}, 2)}
-	srv := New(ge, Options{Lanes: 2, RefreshEvery: -1})
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	w0, w1 := twoLaneWebsites(t)
-	batch := []kbt.Extraction{laneRecord(w0, 0), laneRecord(w1, 1), laneRecord(w0, 2)}
-	ack := make(chan *http.Response, 1)
-	go func() { ack <- postJSON(t, ts, "/v1/ingest", batch) }()
-
-	select {
-	case <-ack:
-		t.Fatal("batch acked with both lane parts unapplied")
-	case <-time.After(200 * time.Millisecond):
-	}
-	ge.gate <- struct{}{} // release exactly one lane's part
-	select {
-	case <-ack:
-		t.Fatal("batch acked with one lane part unapplied")
-	case <-time.After(200 * time.Millisecond):
-	}
-	close(ge.gate) // release the rest
-	resp := <-ack
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest = %d, want 200", resp.StatusCode)
-	}
-	if got := ge.Len(); got != 3 {
-		t.Fatalf("engine holds %d records, want 3", got)
-	}
-}
-
-// TestLaneAdmissionAllOrNothing pins per-lane backpressure: a batch is
-// refused with 429 when ANY of its target lanes is full, and nothing of it
-// is enqueued.
-func TestLaneAdmissionAllOrNothing(t *testing.T) {
-	ge := &gatedEngine{Engine: testEngine(t), gate: make(chan struct{})}
-	srv := New(ge, Options{Lanes: 2, Queue: 1, RefreshEvery: -1})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	w0, w1 := twoLaneWebsites(t)
-	span := func(first int) []kbt.Extraction {
-		return []kbt.Extraction{laneRecord(w0, first), laneRecord(w1, first+1)}
-	}
-	acks := make(chan *http.Response, 2)
-	// First spanning batch: each lane worker takes its part and blocks at
-	// the gate, leaving both queues empty again.
-	go func() { acks <- postJSON(t, ts, "/v1/ingest", span(0)) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for len(srv.lanes[0]) != 0 || len(srv.lanes[1]) != 0 || ge.Pending() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("workers never picked up the first batch")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Second spanning batch fills both single-slot queues.
-	go func() { acks <- postJSON(t, ts, "/v1/ingest", span(10)) }()
-	for len(srv.lanes[0]) != 1 || len(srv.lanes[1]) != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("queues never filled")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// A batch touching only the full lane 0 is refused...
-	resp := postJSON(t, ts, "/v1/ingest", []kbt.Extraction{laneRecord(w0, 20)})
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("single-lane ingest into full lane = %d, want 429", resp.StatusCode)
-	}
-	// ...and so is a spanning batch — with nothing left behind in either
-	// queue beyond the admitted jobs.
-	resp = postJSON(t, ts, "/v1/ingest", span(30))
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("spanning ingest with full lanes = %d, want 429", resp.StatusCode)
-	}
-	if len(srv.lanes[0]) != 1 || len(srv.lanes[1]) != 1 {
-		t.Fatalf("refused batch left residue: lanes hold (%d, %d) jobs",
-			len(srv.lanes[0]), len(srv.lanes[1]))
-	}
-
-	close(ge.gate)
-	for i := 0; i < 2; i++ {
-		resp := <-acks
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("admitted ingest %d = %d, want 200", i, resp.StatusCode)
-		}
-	}
-	srv.Close()
-	if got := ge.Len(); got != 4 {
-		t.Fatalf("engine holds %d records after drain, want 4", got)
-	}
-}
-
-// TestLaneInvalidBatchRejectedWhole pins multi-lane pre-validation: a batch
-// with one malformed record is refused before admission, so no lane applies
-// any part of it.
-func TestLaneInvalidBatchRejectedWhole(t *testing.T) {
+// TestInvalidRecordMidBatchRejectedWhole pins whole-batch refusal: a batch
+// with one malformed record in the middle is refused with 400, and none of
+// its valid records is applied.
+func TestInvalidRecordMidBatchRejectedWhole(t *testing.T) {
 	eng := testEngine(t)
-	srv := New(eng, Options{Lanes: 4})
+	srv := New(eng, Options{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -527,147 +407,155 @@ func TestLaneInvalidBatchRejectedWhole(t *testing.T) {
 	}
 }
 
-// TestLanesApplyEverything ingests through 4 lanes and checks every record
-// lands and queries serve a coherent generation.
-func TestLanesApplyEverything(t *testing.T) {
-	eng := testEngine(t)
-	srv := New(eng, Options{Lanes: 4, RefreshEvery: 4})
+// refreshGatedEngine blocks Refresh until gate is closed.
+type refreshGatedEngine struct {
+	*kbt.Engine
+	gate chan struct{}
+}
+
+func (g *refreshGatedEngine) Refresh() (*kbt.Result, error) {
+	<-g.gate
+	return g.Engine.Refresh()
+}
+
+// TestAckPrecedesInlineRefresh pins the writer's order: a batch is acked as
+// soon as it is applied, and the refresh it makes due runs afterwards, so
+// the ack never waits on the model.
+func TestAckPrecedesInlineRefresh(t *testing.T) {
+	ge := &refreshGatedEngine{Engine: testEngine(t), gate: make(chan struct{})}
+	srv := New(ge, Options{RefreshEvery: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	const batches, per = 16, 8
-	var wg sync.WaitGroup
-	for b := 0; b < batches; b++ {
-		wg.Add(1)
-		go func(b int) {
-			defer wg.Done()
-			resp := postJSON(t, ts, "/v1/ingest", testBatch(b*per, per))
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("ingest %d = %d", b, resp.StatusCode)
-			}
-		}(b)
+	ack := make(chan *http.Response, 1)
+	go func() { ack <- postJSON(t, ts, "/v1/ingest", testBatch(0, 12)) }()
+	select {
+	case resp := <-ack:
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("ingest = %d, want 200", resp.StatusCode)
+		}
+	case <-time.After(10 * time.Second):
+		close(ge.gate) // let Close drain the writer
+		t.Fatal("ingest ack waited on the refresh it made due")
 	}
-	wg.Wait()
-	if got := eng.Len(); got != batches*per {
-		t.Fatalf("engine holds %d records, want %d", got, batches*per)
+	if _, ok := ge.Current(); ok {
+		t.Fatal("a generation was published before the gated refresh ran")
 	}
-	resp := postJSON(t, ts, "/v1/refresh", nil)
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("refresh = %d", resp.StatusCode)
-	}
+	close(ge.gate)
 	waitRefreshed(t, ts)
-	resp, err := http.Get(ts.URL + "/v1/top-sources")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var srcs []kbt.Source
-	decodeInto(t, resp, &srcs)
-	if resp.StatusCode != http.StatusOK || len(srcs) == 0 {
-		t.Fatalf("top-sources = %d, %d sources", resp.StatusCode, len(srcs))
-	}
 }
 
 // TestConcurrentIngestAndQuery hammers ingest and the read endpoints
-// together (run under -race in CI), at one lane and at four. Every query
-// response must be one internally coherent generation: sources sorted
-// most-trustworthy-first, the k-prefix consistent with itself,
-// probabilities in range — the same invariants the engine's
+// together (run under -race in CI). Every acked batch must land in full,
+// and every query response must be one internally coherent generation:
+// sources sorted most-trustworthy-first, the k-prefix consistent with
+// itself, probabilities in range — the same invariants the engine's
 // generation-coherence test pins, observed through the HTTP surface.
+//
+// The server applies ingest on one writer, the single-lane case; the
+// subtest keeps the name that case has always run under.
 func TestConcurrentIngestAndQuery(t *testing.T) {
-	for _, lanes := range []int{1, 4} {
-		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
-			srv := New(testEngine(t), Options{Queue: 128, Lanes: lanes})
-			defer srv.Close()
-			ts := httptest.NewServer(srv)
-			defer ts.Close()
+	t.Run("lanes=1", concurrentIngestAndQuery)
+}
 
-			resp := postJSON(t, ts, "/v1/ingest", testBatch(0, 30))
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			waitRefreshed(t, ts)
+func concurrentIngestAndQuery(t *testing.T) {
+	eng := testEngine(t)
+	srv := New(eng, Options{Queue: 128})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
 
-			const writers, readers, rounds = 2, 4, 20
-			var wg sync.WaitGroup
-			errc := make(chan error, writers+readers)
-			for wr := 0; wr < writers; wr++ {
-				wg.Add(1)
-				go func(wr int) {
-					defer wg.Done()
-					for i := 0; i < rounds; i++ {
-						resp := postJSON(t, ts, "/v1/ingest", testBatch(1000+wr*1000+i*10, 5))
-						io.Copy(io.Discard, resp.Body)
-						resp.Body.Close()
-						if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusTooManyRequests {
-							errc <- fmt.Errorf("writer %d: ingest = %d", wr, resp.StatusCode)
-							return
-						}
+	resp := postJSON(t, ts, "/v1/ingest", testBatch(0, 30))
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	waitRefreshed(t, ts)
+
+	const writers, readers, rounds = 2, 4, 20
+	var wg sync.WaitGroup
+	var acked atomic.Int64
+	errc := make(chan error, writers+readers)
+	for wr := 0; wr < writers; wr++ {
+		wg.Add(1)
+		go func(wr int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				resp := postJSON(t, ts, "/v1/ingest", testBatch(1000+wr*1000+i*10, 5))
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				switch resp.StatusCode {
+				case http.StatusOK:
+					acked.Add(1)
+				case http.StatusTooManyRequests:
+				default:
+					errc <- fmt.Errorf("writer %d: ingest = %d", wr, resp.StatusCode)
+					return
+				}
+			}
+		}(wr)
+	}
+	for rd := 0; rd < readers; rd++ {
+		wg.Add(1)
+		go func(rd int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				resp, err := http.Get(ts.URL + "/v1/top-sources")
+				if err != nil {
+					errc <- err
+					return
+				}
+				var srcs []kbt.Source
+				if err := json.NewDecoder(resp.Body).Decode(&srcs); err != nil {
+					resp.Body.Close()
+					errc <- fmt.Errorf("reader %d: %v", rd, err)
+					return
+				}
+				resp.Body.Close()
+				if len(srcs) == 0 {
+					errc <- fmt.Errorf("reader %d: empty source view", rd)
+					return
+				}
+				for j := range srcs {
+					if srcs[j].KBT < 0 || srcs[j].KBT > 1 {
+						errc <- fmt.Errorf("reader %d: KBT %v out of range", rd, srcs[j].KBT)
+						return
 					}
-				}(wr)
-			}
-			for rd := 0; rd < readers; rd++ {
-				wg.Add(1)
-				go func(rd int) {
-					defer wg.Done()
-					for i := 0; i < rounds; i++ {
-						resp, err := http.Get(ts.URL + "/v1/top-sources")
-						if err != nil {
-							errc <- err
-							return
-						}
-						var srcs []kbt.Source
-						if err := json.NewDecoder(resp.Body).Decode(&srcs); err != nil {
-							resp.Body.Close()
-							errc <- fmt.Errorf("reader %d: %v", rd, err)
-							return
-						}
-						resp.Body.Close()
-						if len(srcs) == 0 {
-							errc <- fmt.Errorf("reader %d: empty source view", rd)
-							return
-						}
-						for j := range srcs {
-							if srcs[j].KBT < 0 || srcs[j].KBT > 1 {
-								errc <- fmt.Errorf("reader %d: KBT %v out of range", rd, srcs[j].KBT)
-								return
-							}
-							if j > 0 && (srcs[j].KBT > srcs[j-1].KBT ||
-								(srcs[j].KBT == srcs[j-1].KBT && srcs[j].Name < srcs[j-1].Name)) {
-								errc <- fmt.Errorf("reader %d: source view out of order at %d", rd, j)
-								return
-							}
-						}
-						resp, err = http.Get(ts.URL + "/v1/top-triples?k=5")
-						if err != nil {
-							errc <- err
-							return
-						}
-						var trs []kbt.TripleVerdict
-						if err := json.NewDecoder(resp.Body).Decode(&trs); err != nil {
-							resp.Body.Close()
-							errc <- fmt.Errorf("reader %d: %v", rd, err)
-							return
-						}
-						resp.Body.Close()
-						for _, tv := range trs {
-							if tv.Probability < 0 || tv.Probability > 1 {
-								errc <- fmt.Errorf("reader %d: probability %v", rd, tv.Probability)
-								return
-							}
-						}
+					if j > 0 && (srcs[j].KBT > srcs[j-1].KBT ||
+						(srcs[j].KBT == srcs[j-1].KBT && srcs[j].Name < srcs[j-1].Name)) {
+						errc <- fmt.Errorf("reader %d: source view out of order at %d", rd, j)
+						return
 					}
-				}(rd)
+				}
+				resp, err = http.Get(ts.URL + "/v1/top-triples?k=5")
+				if err != nil {
+					errc <- err
+					return
+				}
+				var trs []kbt.TripleVerdict
+				if err := json.NewDecoder(resp.Body).Decode(&trs); err != nil {
+					resp.Body.Close()
+					errc <- fmt.Errorf("reader %d: %v", rd, err)
+					return
+				}
+				resp.Body.Close()
+				for _, tv := range trs {
+					if tv.Probability < 0 || tv.Probability > 1 {
+						errc <- fmt.Errorf("reader %d: probability %v", rd, tv.Probability)
+						return
+					}
+				}
 			}
-			wg.Wait()
-			close(errc)
-			for err := range errc {
-				t.Error(err)
-			}
-		})
+		}(rd)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	if want := 30 + 5*int(acked.Load()); eng.Len() != want {
+		t.Fatalf("engine holds %d records after %d acked batches, want %d", eng.Len(), acked.Load(), want)
 	}
 }
 
@@ -894,9 +782,8 @@ func TestStatsReportsHealthBlock(t *testing.T) {
 	}
 }
 
-// keyRecorder records every engine call the lane workers make, to pin that a
-// keyed batch flows whole through exactly one lane while an unkeyed batch is
-// split by website.
+// keyRecorder records every engine call the writer makes, to pin that each
+// batch reaches the engine whole, with its key when it has one.
 type keyRecorder struct {
 	*kbt.Engine
 	mu    sync.Mutex
@@ -925,37 +812,19 @@ func (k *keyRecorder) IngestKeyed(key string, batch ...kbt.Extraction) error {
 	return k.Engine.IngestKeyed(key, batch...)
 }
 
-// TestIdempotencyKeyRoutesWholeBatch pins the keyed-ingest contract on a
-// multi-lane server: an Idempotency-Key batch is never split across lanes
-// (one IngestKeyed call carries the whole batch and the key), a resend of
-// the same key acks without growing the engine, and the same records
-// without a key are split by website as usual.
+// TestIdempotencyKeyRoutesWholeBatch pins the keyed-ingest contract: an
+// Idempotency-Key batch reaches the engine as one IngestKeyed call carrying
+// the whole batch and the key, a resend of the same key acks without growing
+// the engine (exactly once), and the same records without a key arrive as
+// one whole Ingest call.
 func TestIdempotencyKeyRoutesWholeBatch(t *testing.T) {
 	kr := &keyRecorder{Engine: testEngine(t)}
-	srv := New(kr, Options{Lanes: 4, RefreshEvery: -1})
+	srv := New(kr, Options{RefreshEvery: -1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// Two websites on different lanes under the 4-way split, so the batch
-	// would be torn apart were it routed by website.
-	var wa, wb string
-	for i := 0; i < 100 && wb == ""; i++ {
-		w := fmt.Sprintf("site%d.com", i)
-		switch {
-		case wa == "":
-			wa = w
-		case laneOf(kbt.Extraction{Website: w}, 4) != laneOf(kbt.Extraction{Website: wa}, 4):
-			wb = w
-		}
-	}
-	if wb == "" {
-		t.Fatal("could not find websites on two different lanes")
-	}
-	batch := []kbt.Extraction{
-		laneRecord(wa, 0), laneRecord(wb, 1), laneRecord(wa, 2),
-		laneRecord(wb, 3), laneRecord(wa, 4), laneRecord(wb, 5),
-	}
+	batch := testBatch(0, 6) // spans four websites
 
 	post := func(key string) *http.Response {
 		t.Helper()
@@ -1001,21 +870,15 @@ func TestIdempotencyKeyRoutesWholeBatch(t *testing.T) {
 		t.Fatalf("resend grew the engine to %d records, want %d", got, len(batch))
 	}
 
-	// The same records without a key split across both target lanes.
+	// The same records without a key: one whole plain Ingest call.
 	resp = post("")
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("unkeyed ingest = %d", resp.StatusCode)
 	}
-	plain := 0
-	for _, c := range kr.snapshot() {
-		if strings.HasPrefix(c, "plain:") {
-			plain++
-		}
-	}
-	if plain != 2 {
-		t.Fatalf("unkeyed spanning batch produced %d lane calls, want 2", plain)
+	if calls := kr.snapshot(); len(calls) != 3 || calls[2] != fmt.Sprintf("plain:%d", len(batch)) {
+		t.Fatalf("engine calls = %v, want the unkeyed batch as one whole Ingest call", calls)
 	}
 	if got := kr.Len(); got != 2*len(batch) {
 		t.Fatalf("engine holds %d records, want %d", got, 2*len(batch))
