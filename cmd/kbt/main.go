@@ -31,9 +31,9 @@
 // /v1/copy-deps, /v1/fused?item=, /v1/healthz and /v1/stats (the
 // unversioned paths remain as deprecated aliases). Each POST /v1/ingest
 // batch is admitted whole to one bounded queue and applied by a single
-// writer, so a batch is applied whole or not at all; -lanes is deprecated
-// and ignored. Clients that stall on their headers or requests, or idle on a
-// keep-alive connection, are disconnected. -copydetect maintains streaming
+// writer, so a batch is applied whole or not at all. Clients that stall on
+// their headers or requests, or idle on a keep-alive connection, are
+// disconnected. -copydetect maintains streaming
 // copy detection (and discounts detected copiers' votes); -fusion maintains
 // the single-layer fused per-item posteriors — both served from the current
 // generation. With -data DIR, ingest is write-ahead logged under DIR and
@@ -266,7 +266,6 @@ func cmdServe(args []string) error {
 	copyDetect := fs.Bool("copydetect", false, "maintain streaming copy detection and discount detected copiers' votes (GET /v1/copy-deps)")
 	fusionOn := fs.Bool("fusion", false, "maintain streaming single-layer fused per-item posteriors (GET /v1/fused?item=)")
 	listen := fs.String("listen", "", "serve the HTTP/JSON API on this address (e.g. :8080) after draining stdin/file input")
-	fs.Int("lanes", 1, "deprecated and ignored: ingest always runs through one queue and one writer")
 	data := fs.String("data", "", "durable data directory: ingest is write-ahead logged and recovered on restart")
 	ckptEvery := fs.Int("checkpoint-every", 0, "with -data, checkpoint automatically after every N refreshes (0 = never)")
 	ckptBytes := fs.Int64("checkpoint-bytes", 0, "with -data, checkpoint automatically once the write-ahead log exceeds this many bytes (0 = never)")

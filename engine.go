@@ -326,9 +326,9 @@ func (e *Engine) Fused(item string) (FusedItem, error) {
 		Predicate: pred,
 		RestMass:  fres.RestMass[d],
 		Covered:   fres.CoveredItem[d],
-		Values:    make([]FusedValue, 0, len(snap.ItemValues[d])),
+		Values:    make([]FusedValue, 0, len(snap.ItemValues.At(d))),
 	}
-	for k, v := range snap.ItemValues[d] {
+	for k, v := range snap.ItemValues.At(d) {
 		out.Values = append(out.Values, FusedValue{
 			Object:      snap.Values[v],
 			Probability: fres.ValueProb[d][k],

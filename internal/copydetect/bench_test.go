@@ -52,7 +52,7 @@ func (w *trackerWorld) churn(rng *rand.Rand, round, dirtyN, srcN int) []int {
 			if rng.Intn(4) > 0 {
 				continue
 			}
-			row := make([]float64, len(w.s.ItemValues[d]))
+			row := make([]float64, len(w.s.ItemValues.At(d)))
 			for k := range row {
 				row[k] = rng.Float64()
 			}

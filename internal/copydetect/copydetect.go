@@ -130,9 +130,9 @@ func Detect(s *triple.Snapshot, ev Evidence, opt Options) ([]Dependence, error) 
 	}
 
 	for d := range s.Items {
-		for _, v := range s.ItemValues[d] {
+		for _, v := range s.ItemValues.At(d) {
 			var providers []int
-			for _, ti := range s.TriplesOfItem[d] {
+			for _, ti := range s.TriplesOfItem.At(d) {
 				tr := s.Triples[ti]
 				if tr.V != v {
 					continue

@@ -196,9 +196,9 @@ func (t *Tracker) recomputeShard(s *triple.Snapshot, ev Evidence, sh triple.Shar
 	counts := make(map[pairKey]sharedCounts)
 	var providers []int32
 	for _, d := range sh.Items {
-		for _, v := range s.ItemValues[d] {
+		for _, v := range s.ItemValues.At(d) {
 			providers = providers[:0]
-			for _, ti := range s.TriplesOfItem[d] {
+			for _, ti := range s.TriplesOfItem.At(d) {
 				tr := s.Triples[ti]
 				if tr.V != v {
 					continue
@@ -231,7 +231,7 @@ func (t *Tracker) recomputeShard(s *triple.Snapshot, ev Evidence, sh triple.Shar
 		// candidate-triple order within an item is the global triple order
 		// restricted to it, so the winner matches Detect's corpus scan.
 		var fresh map[int32]int32
-		for _, ti := range s.TriplesOfItem[d] {
+		for _, ti := range s.TriplesOfItem.At(d) {
 			tr := s.Triples[ti]
 			if ev.Provides != nil && !ev.Provides(ti) {
 				continue

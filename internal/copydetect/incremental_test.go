@@ -23,7 +23,7 @@ type trackerWorld struct {
 func (w *trackerWorld) evidence() Evidence {
 	return Evidence{
 		ValueProb: func(d, v int) float64 {
-			vs := w.s.ItemValues[d]
+			vs := w.s.ItemValues.At(d)
 			if k := sort.SearchInts(vs, v); k < len(vs) && vs[k] == v {
 				return w.vp[d][k]
 			}
@@ -42,7 +42,7 @@ func (w *trackerWorld) reroll(rng *rand.Rand, dirty []int, rerollAcc bool) {
 	for _, si := range dirty {
 		sh := w.shards[si]
 		for _, d := range sh.Items {
-			row := make([]float64, len(w.s.ItemValues[d]))
+			row := make([]float64, len(w.s.ItemValues.At(d)))
 			for k := range row {
 				row[k] = rng.Float64()
 			}

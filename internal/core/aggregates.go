@@ -135,7 +135,7 @@ func (st *state) estimateAFull(cProb []float64, valueProb [][]float64) {
 	s, ag := st.s, st.agg
 	parallel.ForEach(len(s.Sources), st.opt.Workers, func(w int) {
 		var num, den float64
-		for _, ti := range s.TriplesOfSource[w] {
+		for _, ti := range s.TriplesOfSource.At(w) {
 			nc, dc := st.aContrib(ti, cProb, valueProb)
 			ag.aNumC[ti], ag.aDenC[ti] = nc, dc
 			num += nc
@@ -211,7 +211,7 @@ func (st *state) estimatePRQFull(cProb []float64) {
 			return
 		}
 		var num, pDen float64
-		for _, oi := range s.ObsOfExtractor[e] {
+		for _, oi := range s.ObsOfExtractor.At(e) {
 			c := st.conf[oi]
 			if c <= 0 {
 				ag.obsNumC[oi] = 0
@@ -307,7 +307,7 @@ func (st *state) estimatePRQDelta(cProb []float64, dirtyTris [][]int) {
 	// Dirty observations of vote-stable extractors.
 	for _, tis := range dirtyTris {
 		for _, ti := range tis {
-			for _, oi := range s.ByTriple[ti] {
+			for _, oi := range s.ByTriple.At(ti) {
 				e := s.Obs[oi].E
 				if !st.extIncluded[e] || ag.voteShift[e] {
 					continue
@@ -344,7 +344,7 @@ func (st *state) estimatePRQDelta(cProb []float64, dirtyTris [][]int) {
 func (st *state) rescanExtractorNum(e int, cProb []float64) {
 	ag := st.agg
 	var num float64
-	for _, oi := range st.s.ObsOfExtractor[e] {
+	for _, oi := range st.s.ObsOfExtractor.At(e) {
 		c := st.conf[oi]
 		if c <= 0 {
 			ag.obsNumC[oi] = 0

@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 
+	"kbt/internal/cow"
 	"kbt/internal/triple"
 )
 
@@ -311,10 +313,10 @@ func (em *EM) BuildResult(cProb []float64, valueProb [][]float64, restMass []flo
 	st := em.st
 	s := st.s
 	res := &Result{
-		aVec:              copyVec(st.a),
-		pVec:              copyVec(st.p),
-		rVec:              copyVec(st.r),
-		qVec:              copyVec(st.q),
+		aVec:              cow.Wrap(slices.Clone(st.a)),
+		pVec:              cow.Wrap(slices.Clone(st.p)),
+		rVec:              cow.Wrap(slices.Clone(st.r)),
+		qVec:              cow.Wrap(slices.Clone(st.q)),
 		cProb:             append([]float64(nil), cProb...),
 		valueProb:         make([][]float64, len(valueProb)),
 		restMass:          append([]float64(nil), restMass...),
@@ -343,7 +345,7 @@ func (em *EM) BuildResult(cProb []float64, valueProb [][]float64, restMass []flo
 	for ti, tr := range s.Triples {
 		expt[tr.W] += cProb[ti]
 	}
-	res.expVec = sliceVec(expt)
+	res.expVec = cow.Wrap(expt)
 	return res
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sort"
 
+	"kbt/internal/cow"
 	"kbt/internal/stats"
 	"kbt/internal/triple"
 )
@@ -128,8 +129,8 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 	// exactly newState's initialisation. The dirty-mark arrays grow first
 	// (new chunks start dirty) so the init writes can mark; a grown boundary
 	// chunk is re-copied at publication via the chunk-length test regardless.
-	st.srcDirty = grow(st.srcDirty, numUnitChunks(nSrc), 1)
-	st.extDirty = grow(st.extDirty, numUnitChunks(nExt), 1)
+	st.srcDirty = grow(st.srcDirty, cow.Chunks(nSrc), 1)
+	st.extDirty = grow(st.extDirty, cow.Chunks(nExt), 1)
 	st.a = grow(st.a, nSrc, 0)
 	for w := d.Sources; w < nSrc; w++ {
 		st.initSourceParam(w)
@@ -173,20 +174,20 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 	var reslotted map[int]bool
 	for ti := d.Triples; ti < nTri; ti++ {
 		tr := s.Triples[ti]
-		if tr.D < d.Items && len(s.ItemValues[tr.D]) != len(prevS.ItemValues[tr.D]) {
+		if tr.D < d.Items && len(s.ItemValues.At(tr.D)) != len(prevS.ItemValues.At(tr.D)) {
 			if reslotted == nil {
 				reslotted = make(map[int]bool)
 			}
 			if !reslotted[tr.D] {
 				reslotted[tr.D] = true
-				vs := s.ItemValues[tr.D]
-				for _, t2 := range s.TriplesOfItem[tr.D] {
+				vs := s.ItemValues.At(tr.D)
+				for _, t2 := range s.TriplesOfItem.At(tr.D) {
 					st.slotOfTriple[t2] = sort.SearchInts(vs, s.Triples[t2].V)
 				}
 			}
 			continue
 		}
-		st.slotOfTriple[ti] = sort.SearchInts(s.ItemValues[tr.D], tr.V)
+		st.slotOfTriple[ti] = sort.SearchInts(s.ItemValues.At(tr.D), tr.V)
 	}
 
 	// Cells for the new triples. Interned ids are append-only, so existing
@@ -302,7 +303,7 @@ func extendState(st *state, s *triple.Snapshot, opt Options, d triple.Delta) {
 // build loop.
 func (st *state) rebuildCoverage() {
 	st.coveredTriple = make([]bool, len(st.s.Triples))
-	for ti, idxs := range st.s.ByTriple {
+	for ti, idxs := range st.s.ByTriple.All() {
 		for _, oi := range idxs {
 			if st.extIncluded[st.s.Obs[oi].E] {
 				st.coveredTriple[ti] = true

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"kbt/internal/cow"
 	"kbt/internal/parallel"
 	"kbt/internal/stats"
 	"kbt/internal/triple"
@@ -39,8 +40,8 @@ type Result struct {
 	// Per-unit parameter vectors, chunked and generation-shared: source
 	// accuracy (the Knowledge-Based Trust score), extractor precision /
 	// recall / Q (Eq 7), and the per-source expected correct-triple sums.
-	aVec, pVec, rVec, qVec unitVec
-	expVec                 unitVec
+	aVec, pVec, rVec, qVec cow.Vec[float64]
+	expVec                 cow.Vec[float64]
 
 	// Flat posterior storage (batch Run, EM.BuildResult). Exactly one of
 	// the flat arrays and gen is populated.
@@ -147,7 +148,7 @@ func (r *Result) TripleProb(d, v int) (float64, bool) {
 	if d < 0 || d >= r.NumItems() || !r.CoveredItemAt(d) {
 		return 0, false
 	}
-	vs := r.snap.ItemValues[d]
+	vs := r.snap.ItemValues.At(d)
 	k := sort.SearchInts(vs, v)
 	if k < len(vs) && vs[k] == v {
 		return r.ValueRow(d)[k], true
@@ -272,12 +273,12 @@ func Run(s *triple.Snapshot, opt Options) (*Result, error) {
 
 	// The state dies with this call, so the parameter vectors wrap its flat
 	// arrays without copying.
-	res.aVec, res.pVec, res.rVec, res.qVec = sliceVec(st.a), sliceVec(st.p), sliceVec(st.r), sliceVec(st.q)
+	res.aVec, res.pVec, res.rVec, res.qVec = cow.Wrap(st.a), cow.Wrap(st.p), cow.Wrap(st.r), cow.Wrap(st.q)
 	expt := make([]float64, nSrc)
 	for ti, tr := range s.Triples {
 		expt[tr.W] += res.cProb[ti]
 	}
-	res.expVec = sliceVec(expt)
+	res.expVec = cow.Wrap(expt)
 	return res, nil
 }
 
@@ -311,7 +312,7 @@ type state struct {
 
 	a       []float64 // per source
 	p, r, q []float64 // per extractor
-	// srcDirty / extDirty mark the unitChunk-sized parameter chunks whose
+	// srcDirty / extDirty mark the cow-chunk-sized parameter chunks whose
 	// values changed since the last BuildResultFrom publication (see
 	// params.go). All writes to a/p/r/q go through the set* helpers, which
 	// compare before storing — a re-derivation that lands on the identical
@@ -415,8 +416,8 @@ func newState(s *triple.Snapshot, opt Options) *state {
 
 	// Parameters. The dirty marks start all-set: a fresh state has no
 	// publication baseline to share chunks against.
-	st.srcDirty = make([]uint32, numUnitChunks(nSrc))
-	st.extDirty = make([]uint32, numUnitChunks(nExt))
+	st.srcDirty = make([]uint32, cow.Chunks(nSrc))
+	st.extDirty = make([]uint32, cow.Chunks(nExt))
 	for ci := range st.srcDirty {
 		st.srcDirty[ci] = 1
 	}
@@ -451,7 +452,7 @@ func newState(s *triple.Snapshot, opt Options) *state {
 	}
 	st.tripleOfObs = make([]int, len(s.Obs))
 	st.coveredTriple = make([]bool, nTri)
-	for ti, idxs := range s.ByTriple {
+	for ti, idxs := range s.ByTriple.All() {
 		for _, oi := range idxs {
 			st.tripleOfObs[oi] = ti
 			if st.extIncluded[s.Obs[oi].E] {
@@ -463,7 +464,7 @@ func newState(s *triple.Snapshot, opt Options) *state {
 	// Value slot per candidate triple.
 	st.slotOfTriple = make([]int, nTri)
 	for ti, tr := range s.Triples {
-		vs := s.ItemValues[tr.D]
+		vs := s.ItemValues.At(tr.D)
 		st.slotOfTriple[ti] = sort.SearchInts(vs, tr.V)
 	}
 
@@ -515,12 +516,12 @@ func (st *state) effConf(c float64) float64 {
 func computeInclusion(s *triple.Snapshot, opt Options) (srcInc, extInc []bool) {
 	srcInc = make([]bool, len(s.Sources))
 	minSrc := max(1, opt.MinSourceSupport)
-	for w, tis := range s.TriplesOfSource {
+	for w, tis := range s.TriplesOfSource.All() {
 		srcInc[w] = len(tis) >= minSrc
 	}
 	extInc = make([]bool, len(s.Extractors))
 	minExt := max(1, opt.MinExtractorSupport)
-	for e, obs := range s.ObsOfExtractor {
+	for e, obs := range s.ObsOfExtractor.All() {
 		extInc[e] = len(obs) >= minExt
 	}
 	return srcInc, extInc
@@ -616,7 +617,7 @@ func (st *state) buildExtractorCells() {
 	st.extCellSeen = nil
 	st.absenceStale = true
 	cellStamp := make([]int32, st.numCells)
-	for e, obsIdxs := range s.ObsOfExtractor {
+	for e, obsIdxs := range s.ObsOfExtractor.All() {
 		if !st.extIncluded[e] {
 			continue
 		}
@@ -806,7 +807,7 @@ func (st *state) estimateCSubset(cProb []float64, tis []int, workers int) {
 		if !allScope {
 			vcc = cellAbs[cellOf[ti]]
 		}
-		for _, oi := range byTriple[ti] {
+		for _, oi := range byTriple.At(ti) {
 			// The extractor's absence vote is already in the base mass;
 			// replace it with the soft mixture c·Pre + (1-c)·Abs (Eq 31).
 			// voteDelta folds the inclusion gate in: excluded extractors
@@ -832,7 +833,7 @@ func (st *state) estimateC(cProb []float64) {
 func (st *state) estimateVSubset(cProb []float64, valueProb [][]float64, restMass []float64, coveredItem []bool, items []int, workers int) {
 	s := st.s
 	forEachIndex(len(s.Items), items, workers, func(d int) {
-		vs := s.ItemValues[d]
+		vs := s.ItemValues.At(d)
 		// The item's posterior row doubles as the score buffer: scores
 		// accumulate in place and the softmax transforms them in place, so
 		// the steady state allocates nothing per item. Rows are only ever
@@ -848,7 +849,7 @@ func (st *state) estimateVSubset(cProb []float64, valueProb [][]float64, restMas
 			}
 		}
 		covered := false
-		for _, ti := range s.TriplesOfItem[d] {
+		for _, ti := range s.TriplesOfItem.At(d) {
 			tr := s.Triples[ti]
 			if !st.srcIncluded[tr.W] || !st.coveredTriple[ti] {
 				continue
@@ -926,7 +927,7 @@ func (st *state) estimateA(cProb []float64, valueProb [][]float64) {
 			return
 		}
 		var num, den float64
-		for _, ti := range s.TriplesOfSource[w] {
+		for _, ti := range s.TriplesOfSource.At(w) {
 			nc, dc := st.aContrib(ti, cProb, valueProb)
 			num += nc
 			den += dc
@@ -994,7 +995,7 @@ func (st *state) estimatePRQ(cProb []float64) {
 			return
 		}
 		var num, pDen float64
-		for _, oi := range s.ObsOfExtractor[e] {
+		for _, oi := range s.ObsOfExtractor.At(e) {
 			c := st.conf[oi]
 			if c <= 0 {
 				continue

@@ -1,16 +1,17 @@
 package core
 
-import "sync/atomic"
+import (
+	"sync/atomic"
 
-// This file implements copy-on-write per-unit parameter storage. The source
-// and extractor parameter vectors (A, P, R, Q) and the per-source
-// expected-triple sums used to be deep-copied into every published Result —
-// O(units) per refresh even when a pass re-estimated a handful of units. At
-// fine granularities the unit space is corpus-sized (per-page sources,
-// per-pattern extractors), so the copies dominated small-ingest publication
-// the same way the posterior copies did before genStore. The cure is the
-// same: chunked immutable storage shared between generations, with dirty
-// marks deciding which chunks a publication must actually copy.
+	"kbt/internal/cow"
+)
+
+// This file implements copy-on-write per-unit parameter publication. The
+// source and extractor parameter vectors (A, P, R, Q) and the per-source
+// expected-triple sums are published as cow.Vec chunks shared between
+// generations, so a refresh that re-estimated a handful of units copies a
+// handful of chunks instead of O(units) — at fine granularities the unit
+// space is corpus-sized (per-page sources, per-pattern extractors).
 //
 // The working arrays (state.a/p/r/q) stay flat — the M-step hot loops index
 // them densely. Every write goes through a set* helper that compares before
@@ -22,125 +23,27 @@ import "sync/atomic"
 // clean, length-stable chunk with the previous generation by pointer and
 // clears the marks, making the new generation the baseline.
 //
-// Marks are chunk-granular uint32s written with atomic stores: the M-steps
-// derive different units concurrently, and two units of one chunk may mark it
-// from different goroutines. Readers (publication, mark clearing) run after
-// the worker pools have joined, so plain reads are ordered.
+// Marks are chunk-granular uint32s (one per cow chunk) written with atomic
+// stores: the M-steps derive different units concurrently, and two units of
+// one chunk may mark it from different goroutines. Readers (publication,
+// mark clearing) run after the worker pools have joined, so plain reads are
+// ordered.
 
-// unitChunk is the number of units per parameter chunk. Large enough that
-// chunk headers are negligible against the flat arrays, small enough that one
-// drifted unit's copy cost stays far below O(units).
-const unitChunk = 512
-
-// unitVec is an immutable chunked float vector — the published form of a
-// per-unit parameter. Chunks may be shared with other generations; nothing
-// may write through them.
-type unitVec struct {
-	n      int
-	chunks [][]float64
-}
-
-// Len returns the number of units.
-func (v unitVec) Len() int { return v.n }
-
-// At returns unit i's value.
-func (v unitVec) At(i int) float64 {
-	return v.chunks[i/unitChunk][i%unitChunk]
-}
-
-// numUnitChunks returns the chunk count covering n units.
-func numUnitChunks(n int) int { return (n + unitChunk - 1) / unitChunk }
-
-// sliceVec wraps vals in chunk form without copying. The caller hands over
-// ownership: vals must never be written again (the batch Run path, whose
-// state dies with the call).
-func sliceVec(vals []float64) unitVec {
-	v := unitVec{n: len(vals), chunks: make([][]float64, numUnitChunks(len(vals)))}
-	for ci := range v.chunks {
-		lo := ci * unitChunk
-		hi := min(lo+unitChunk, len(vals))
-		v.chunks[ci] = vals[lo:hi:hi]
-	}
-	return v
-}
-
-// copyVec deep-copies vals into chunk form — the snapshot path (BuildResult),
-// where the caller keeps mutating its arrays.
-func copyVec(vals []float64) unitVec {
-	return sliceVec(append([]float64(nil), vals...))
-}
-
-// buildUnitVec assembles a publication's parameter vector copy-on-write
-// against prev: a chunk whose dirty mark is clear and whose unit span is
-// unchanged is shared by pointer, everything else is copied from the working
-// slice. Growth needs no marking discipline — a grown boundary chunk fails
-// the length test and a wholly new chunk has no prev counterpart, so both
-// copy.
-func buildUnitVec(prev unitVec, work []float64, dirty []uint32) unitVec {
-	n := len(work)
-	v := unitVec{n: n, chunks: make([][]float64, numUnitChunks(n))}
-	for ci := range v.chunks {
-		lo := ci * unitChunk
-		hi := min(lo+unitChunk, n)
-		if ci < len(prev.chunks) && len(prev.chunks[ci]) == hi-lo && ci < len(dirty) && dirty[ci] == 0 {
-			v.chunks[ci] = prev.chunks[ci]
-			continue
-		}
-		v.chunks[ci] = append([]float64(nil), work[lo:hi]...)
-	}
-	return v
+// buildUnitVec publishes work copy-on-write against prev, the generation the
+// dirty marks were cleared against: chunks with a clear mark are shared, the
+// rest copied whole (cow.Update).
+func buildUnitVec(prev cow.Vec[float64], work []float64, dirty []uint32) cow.Vec[float64] {
+	return cow.Update(prev, work, func(ci int) bool { return ci < len(dirty) && dirty[ci] == 0 })
 }
 
 // markUnit records that unit i's value changed since the last publication.
 // The load-before-store keeps an already-dirty chunk's cache line clean under
 // repeated marking from the derive loops.
 func markUnit(dirty []uint32, i int) {
-	ci := i / unitChunk
+	ci := cow.ChunkOf(i)
 	if atomic.LoadUint32(&dirty[ci]) == 0 {
 		atomic.StoreUint32(&dirty[ci], 1)
 	}
-}
-
-// cowVec is a unitVec under construction that starts fully shared with a
-// previous generation and clones each chunk on its first write — the
-// expected-triple delta fold, where only the sources of dirty shards' triples
-// receive any adjustment.
-type cowVec struct {
-	v     unitVec
-	owned []bool
-}
-
-// cowFrom readies a cowVec of n units over prev's chunks. Chunks prev does
-// not cover (or covers at a different length — growth) are materialised
-// immediately, new units zero-filled.
-func cowFrom(prev unitVec, n int) cowVec {
-	nc := numUnitChunks(n)
-	c := cowVec{v: unitVec{n: n, chunks: make([][]float64, nc)}, owned: make([]bool, nc)}
-	for ci := 0; ci < nc; ci++ {
-		lo := ci * unitChunk
-		hi := min(lo+unitChunk, n)
-		if ci < len(prev.chunks) && len(prev.chunks[ci]) == hi-lo {
-			c.v.chunks[ci] = prev.chunks[ci]
-			continue
-		}
-		ck := make([]float64, hi-lo)
-		if ci < len(prev.chunks) {
-			copy(ck, prev.chunks[ci])
-		}
-		c.v.chunks[ci] = ck
-		c.owned[ci] = true
-	}
-	return c
-}
-
-// Add folds d into unit i, cloning the chunk if it is still shared.
-func (c *cowVec) Add(i int, d float64) {
-	ci := i / unitChunk
-	if !c.owned[ci] {
-		c.v.chunks[ci] = append([]float64(nil), c.v.chunks[ci]...)
-		c.owned[ci] = true
-	}
-	c.v.chunks[ci][i%unitChunk] += d
 }
 
 // inheritMarks seeds dst's dirty marks after CarryParamsFrom copied a prevN
@@ -150,7 +53,7 @@ func (c *cowVec) Add(i int, d float64) {
 // boundary growth, new units — is dirty.
 func inheritMarks(dst, src []uint32, prevN, n int) {
 	for ci := range dst {
-		if end := min((ci+1)*unitChunk, n); end <= prevN && ci < len(src) {
+		if end := min((ci+1)*cow.ChunkSize, n); end <= prevN && ci < len(src) {
 			dst[ci] = src[ci]
 		} else {
 			dst[ci] = 1

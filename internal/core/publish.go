@@ -1,6 +1,7 @@
 package core
 
 import (
+	"kbt/internal/cow"
 	"kbt/internal/parallel"
 	"kbt/internal/triple"
 )
@@ -159,7 +160,7 @@ func (em *EM) BuildResultFrom(prev *Result, shards []triple.Shard, touched []boo
 	// dirty marks were cleared against (the engine always passes its last
 	// published Result); clearing the marks below makes this generation the
 	// new baseline. The inclusion copies share one backing allocation.
-	var pva, pvp, pvr, pvq unitVec
+	var pva, pvp, pvr, pvq cow.Vec[float64]
 	if prev != nil {
 		pva, pvp, pvr, pvq = prev.aVec, prev.pVec, prev.rVec, prev.qVec
 	}
@@ -195,7 +196,7 @@ func (em *EM) BuildResultFrom(prev *Result, shards []triple.Shard, touched []boo
 // Otherwise it aggregates in global triple order, bit-identical to Run and
 // BuildResult (the FullAggregates/FullRecompile oracles re-aggregate every
 // refresh, keeping their bit-exactness contract).
-func (em *EM) expectedTriples(prev *Result, pg *genStore, shards []triple.Shard, dirty []int, prevNTri int, cProb []float64) unitVec {
+func (em *EM) expectedTriples(prev *Result, pg *genStore, shards []triple.Shard, dirty []int, prevNTri int, cProb []float64) cow.Vec[float64] {
 	st := em.st
 	s := st.s
 	anchor := st.agg == nil || st.agg.expAnchor || len(dirty) == len(shards)
@@ -207,12 +208,15 @@ func (em *EM) expectedTriples(prev *Result, pg *genStore, shards []triple.Shard,
 		for ti, tr := range s.Triples {
 			exp[tr.W] += cProb[ti]
 		}
-		return sliceVec(exp)
+		return cow.Wrap(exp)
 	}
 	// Delta fold, copy-on-write: every chunk starts shared with prev and is
-	// cloned on its first adjustment, so only the sources of dirty shards'
-	// triples cost a copy.
-	cw := cowFrom(prev.expVec, len(s.Sources))
+	// copied on its first adjustment, so only the sources of dirty shards'
+	// triples (and new sources, zero-filled) cost a copy.
+	exp := prev.expVec.Fork()
+	for exp.Len() < len(s.Sources) {
+		exp.Append(0)
+	}
 	for _, si := range dirty {
 		pc := pg.chunks[si]
 		for pos, ti := range shards[si].Triples {
@@ -221,9 +225,10 @@ func (em *EM) expectedTriples(prev *Result, pg *genStore, shards []triple.Shard,
 				old = pc.cProb[pos]
 			}
 			if d := cProb[ti] - old; d != 0 {
-				cw.Add(s.Triples[ti].W, d)
+				w := s.Triples[ti].W
+				exp.Set(w, exp.At(w)+d)
 			}
 		}
 	}
-	return cw.v
+	return exp
 }

@@ -406,12 +406,12 @@ func (st *state) noteVoteRefresh() {
 // broadSource reports whether the source's candidate triples span at least
 // 1/broadReachDenom of the corpus — the whole-shard marking cutoff.
 func (st *state) broadSource(w int) bool {
-	return len(st.s.TriplesOfSource[w])*broadReachDenom >= len(st.s.Triples)
+	return len(st.s.TriplesOfSource.At(w))*broadReachDenom >= len(st.s.Triples)
 }
 
 // broadExtractor is the extractor counterpart, on observation counts.
 func (st *state) broadExtractor(e int) bool {
-	return len(st.s.ObsOfExtractor[e])*broadReachDenom >= len(st.s.Obs)
+	return len(st.s.ObsOfExtractor.At(e))*broadReachDenom >= len(st.s.Obs)
 }
 
 // MarkStale widens the scope by the reach of every unit whose accumulated
@@ -463,7 +463,7 @@ func (em *EM) MarkStale(tol float64, sc *ScopeSet) int {
 				}
 			}
 		} else {
-			for _, ti := range s.TriplesOfSource[w] {
+			for _, ti := range s.TriplesOfSource.At(w) {
 				d := int(s.Triples[ti].D)
 				added += sc.markItem(d, led.itemShard[d])
 			}

@@ -19,7 +19,7 @@ func resultEvidence(r *Result) copydetect.Evidence {
 	g := r.Inference
 	return copydetect.Evidence{
 		ValueProb: func(d, v int) float64 {
-			vs := r.Snapshot.ItemValues[d]
+			vs := r.Snapshot.ItemValues.At(d)
 			if k := sort.SearchInts(vs, v); k < len(vs) && vs[k] == v {
 				return g.ValueRow(d)[k]
 			}

@@ -50,6 +50,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -762,7 +763,7 @@ func (e *Engine) Refresh() (*Result, error) {
 	if e.opt.CopyDetect {
 		ev := copydetect.Evidence{
 			ValueProb: func(d, v int) float64 {
-				vs := snap.ItemValues[d]
+				vs := snap.ItemValues.At(d)
 				if k := sort.SearchInts(vs, v); k < len(vs) && vs[k] == v {
 					return valueProb[d][k]
 				}
@@ -915,7 +916,7 @@ func (e *Engine) materializeScope(snap *triple.Snapshot, shards []triple.Shard, 
 				span := sh.ItemSpan(r)
 				itemBuf = append(itemBuf, span...)
 				for _, d := range span {
-					triBuf = append(triBuf, snap.TriplesOfItem[d]...)
+					triBuf = append(triBuf, snap.TriplesOfItem.At(d)...)
 				}
 			}
 		}
@@ -968,12 +969,12 @@ func (e *Engine) updatePrior(em *core.EM, tris [][]int, valueProb [][]float64) {
 }
 
 // ensureFloats resizes a persistent scratch buffer without retaining old
-// content guarantees — callers fully overwrite what they read.
+// content guarantees — callers fully overwrite what they read. Growth is
+// amortized: the tables these buffers track grow by a few entries per warm
+// refresh, and an exact-size reallocation would copy O(corpus) bytes each
+// time.
 func ensureFloats(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
+	return slices.Grow(buf[:0], n)[:n]
 }
 
 // workers resolves the effective worker bound: Options.Workers when set,
@@ -1024,7 +1025,7 @@ func (e *Engine) extendPosteriors(snap, prev *triple.Snapshot, alpha float64) {
 		if d >= nOldItems {
 			continue
 		}
-		newVs, oldVs := snap.ItemValues[d], prev.ItemValues[d]
+		newVs, oldVs := snap.ItemValues.At(d), prev.ItemValues.At(d)
 		if len(newVs) == len(oldVs) {
 			continue
 		}
@@ -1086,10 +1087,10 @@ func (e *Engine) carryOver(em *core.EM, snap, prev *triple.Snapshot, cProb []flo
 	}
 
 	for d := range valueProb {
-		newVs := snap.ItemValues[d]
+		newVs := snap.ItemValues.At(d)
 		row := make([]float64, len(newVs))
 		if d < len(prev.Items) {
-			oldVs := prev.ItemValues[d]
+			oldVs := prev.ItemValues.At(d)
 			oldRow := e.valueProb[d]
 			j := 0
 			for k, v := range newVs {

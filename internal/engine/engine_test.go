@@ -717,3 +717,21 @@ func TestIngestValidation(t *testing.T) {
 		t.Errorf("website-granularity engine rejected a page-less record: %v", err)
 	}
 }
+
+// TestEnsureFloatsGrowsAmortized: the per-refresh scratch buffers track
+// tables that grow a little every warm refresh, so resizing must not
+// reallocate on every step.
+func TestEnsureFloatsGrowsAmortized(t *testing.T) {
+	var buf []float64
+	backings := make(map[*float64]bool)
+	for n := 1; n <= 1000; n++ {
+		buf = ensureFloats(buf, n)
+		if len(buf) != n {
+			t.Fatalf("ensureFloats(_, %d) has length %d", n, len(buf))
+		}
+		backings[&buf[0]] = true
+	}
+	if len(backings) >= 40 {
+		t.Errorf("growing by one 1000 times used %d backings, want < 40", len(backings))
+	}
+}

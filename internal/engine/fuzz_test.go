@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"kbt/internal/core"
+	"kbt/internal/cow"
 	"kbt/internal/triple"
 )
 
@@ -53,6 +54,17 @@ func assertSnapshotsBitIdentical(t *testing.T, tag string, got, want *triple.Sna
 			t.Fatalf("%s: snapshot table %s diverges\n got  %v\n want %v", tag, name, g, w)
 		}
 	}
+	cmpRows := func(name string, g, w cow.Vec[[]int]) {
+		t.Helper()
+		if g.Len() != w.Len() {
+			t.Fatalf("%s: snapshot table %s has %d rows, want %d", tag, name, g.Len(), w.Len())
+		}
+		for i, row := range g.All() {
+			if !reflect.DeepEqual(row, w.At(i)) {
+				t.Fatalf("%s: snapshot table %s row %d diverges\n got  %v\n want %v", tag, name, i, row, w.At(i))
+			}
+		}
+	}
 	cmp("Obs", got.Obs, want.Obs)
 	cmp("Sources", got.Sources, want.Sources)
 	cmp("Extractors", got.Extractors, want.Extractors)
@@ -60,13 +72,13 @@ func assertSnapshotsBitIdentical(t *testing.T, tag string, got, want *triple.Sna
 	cmp("Values", got.Values, want.Values)
 	cmp("Predicates", got.Predicates, want.Predicates)
 	cmp("PredOfItem", got.PredOfItem, want.PredOfItem)
-	cmp("ItemValues", got.ItemValues, want.ItemValues)
+	cmpRows("ItemValues", got.ItemValues, want.ItemValues)
 	cmp("Triples", got.Triples, want.Triples)
-	cmp("ByTriple", got.ByTriple, want.ByTriple)
-	cmp("TriplesOfItem", got.TriplesOfItem, want.TriplesOfItem)
-	cmp("TriplesOfSource", got.TriplesOfSource, want.TriplesOfSource)
-	cmp("ObsOfExtractor", got.ObsOfExtractor, want.ObsOfExtractor)
-	cmp("SourcesOfExtractor", got.SourcesOfExtractor, want.SourcesOfExtractor)
+	cmpRows("ByTriple", got.ByTriple, want.ByTriple)
+	cmpRows("TriplesOfItem", got.TriplesOfItem, want.TriplesOfItem)
+	cmpRows("TriplesOfSource", got.TriplesOfSource, want.TriplesOfSource)
+	cmpRows("ObsOfExtractor", got.ObsOfExtractor, want.ObsOfExtractor)
+	cmpRows("SourcesOfExtractor", got.SourcesOfExtractor, want.SourcesOfExtractor)
 }
 
 // TestFuzzIncrementalAggregatesMatchOracle drives randomized ingest

@@ -89,7 +89,7 @@ func goldLabels(w *websim.World, s *triple.Snapshot) []goldTriple {
 	seen := make(map[[2]int]bool)
 	for d := range s.Items {
 		subj, pred := itemSubjectPredicate(s.Items[d])
-		for _, v := range s.ItemValues[d] {
+		for _, v := range s.ItemValues.At(d) {
 			k := [2]int{d, v}
 			if seen[k] {
 				continue

@@ -281,7 +281,7 @@ func Eval541On(w *websim.World, cfg KVConfig, maxSites int, kbtThreshold float64
 		}
 		// Confidently-extracted candidate triples, grouped by predicate.
 		byPred := map[string][]int{}
-		for _, ti := range s.TriplesOfSource[wi] {
+		for _, ti := range s.TriplesOfSource.At(wi) {
 			if res.CProbAt(ti) <= 0.8 {
 				continue
 			}

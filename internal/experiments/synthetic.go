@@ -28,7 +28,7 @@ func evalMultiSynthetic(w *synthetic.World, s *triple.Snapshot, res *core.Result
 		if !ok {
 			continue
 		}
-		for _, v := range s.ItemValues[d] {
+		for _, v := range s.ItemValues.At(d) {
 			p, covered := res.TripleProb(d, v)
 			if !covered {
 				continue
@@ -79,7 +79,7 @@ func evalSingleSynthetic(w *synthetic.World, s *triple.Snapshot, res *fusion.Res
 		if !res.CoveredItem[d] {
 			continue
 		}
-		for k, v := range s.ItemValues[d] {
+		for k, v := range s.ItemValues.At(d) {
 			vItems = append(vItems, metrics.Labeled{Pred: res.ValueProb[d][k], True: s.Values[v] == truth})
 		}
 	}

@@ -107,7 +107,7 @@ func (r *Result) TripleProb(s *triple.Snapshot, d, v int) (float64, bool) {
 	if !r.CoveredItem[d] {
 		return 0, false
 	}
-	for k, vv := range s.ItemValues[d] {
+	for k, vv := range s.ItemValues.At(d) {
 		if vv == v {
 			return r.ValueProb[d][k], true
 		}
@@ -179,8 +179,8 @@ func Run(s *triple.Snapshot, opt Options) (*Result, error) {
 	votes := make([][]vote, nItem)
 	slotOf := make([]map[int]int, nItem)
 	for d := 0; d < nItem; d++ {
-		m := make(map[int]int, len(s.ItemValues[d]))
-		for k, v := range s.ItemValues[d] {
+		m := make(map[int]int, len(s.ItemValues.At(d)))
+		for k, v := range s.ItemValues.At(d) {
 			m[v] = k
 		}
 		slotOf[d] = m
@@ -200,7 +200,7 @@ func Run(s *triple.Snapshot, opt Options) (*Result, error) {
 
 		// E step: per-item posterior over values (Eq 2).
 		parallel.ForEach(nItem, opt.Workers, func(d int) {
-			k := len(s.ItemValues[d])
+			k := len(s.ItemValues.At(d))
 			scores := make([]float64, k)
 			covered := false
 			for _, vt := range votes[d] {
@@ -272,9 +272,9 @@ func popularity(s *triple.Snapshot, opt Options) [][]float64 {
 	pop := make([][]float64, len(s.Items))
 	slotOf := make([]map[int]int, len(s.Items))
 	for d := range pop {
-		pop[d] = make([]float64, len(s.ItemValues[d]))
-		m := make(map[int]int, len(s.ItemValues[d]))
-		for k, v := range s.ItemValues[d] {
+		pop[d] = make([]float64, len(s.ItemValues.At(d)))
+		m := make(map[int]int, len(s.ItemValues.At(d)))
+		for k, v := range s.ItemValues.At(d) {
 			m[v] = k
 		}
 		slotOf[d] = m
@@ -315,7 +315,7 @@ func AggregateSourceAccuracy(s *triple.Snapshot, r *Result, groupOf func(w int) 
 			return k
 		}
 		k = -1
-		for i, vv := range s.ItemValues[d] {
+		for i, vv := range s.ItemValues.At(d) {
 			if vv == v {
 				k = i
 				break

@@ -213,7 +213,7 @@ func (inc *Incremental) apply(prevS *triple.Snapshot, d triple.Delta, cold bool)
 	var reslotted map[int]bool
 	for ti := d.Triples; ti < len(s.Triples); ti++ {
 		dd := s.Triples[ti].D
-		if dd >= d.Items || len(s.ItemValues[dd]) == len(prevS.ItemValues[dd]) {
+		if dd >= d.Items || len(s.ItemValues.At(dd)) == len(prevS.ItemValues.At(dd)) {
 			continue
 		}
 		if reslotted == nil {
@@ -223,7 +223,7 @@ func (inc *Incremental) apply(prevS *triple.Snapshot, d triple.Delta, cold bool)
 			continue
 		}
 		reslotted[dd] = true
-		newVs, oldVs := s.ItemValues[dd], prevS.ItemValues[dd]
+		newVs, oldVs := s.ItemValues.At(dd), prevS.ItemValues.At(dd)
 		slotMap := make([]int32, len(oldVs))
 		j := 0
 		for k, v := range newVs {
@@ -263,7 +263,7 @@ func (inc *Incremental) apply(prevS *triple.Snapshot, d triple.Delta, cold bool)
 		if !inc.opt.UseConfidence {
 			conf = 1
 		}
-		slot := int32(sort.SearchInts(s.ItemValues[o.D], o.V))
+		slot := int32(sort.SearchInts(s.ItemValues.At(o.D), o.V))
 		inc.voteAt = append(inc.voteAt, int32(len(inc.votes[o.D])))
 		inc.votes[o.D] = append(inc.votes[o.D], vote{w: int32(o.W), slot: slot, conf: conf})
 		key := int64(o.W)<<32 | int64(uint32(o.D))
@@ -278,7 +278,7 @@ func (inc *Incremental) apply(prevS *triple.Snapshot, d triple.Delta, cold bool)
 	// the accumulation matches popularity()'s exactly.
 	if inc.opt.Model == PopAccu {
 		for _, dd := range affected {
-			row := make([]float64, len(s.ItemValues[dd]))
+			row := make([]float64, len(s.ItemValues.At(dd)))
 			total := 0.0
 			for _, vt := range inc.votes[dd] {
 				row[vt.slot] += vt.conf
@@ -391,7 +391,7 @@ func (inc *Incremental) iterate(base []int) {
 		outs := make([]fuseOut, len(dirty))
 		parallel.ForEach(len(dirty), inc.opt.Workers, func(i int) {
 			dd := dirty[i]
-			k := len(s.ItemValues[dd])
+			k := len(s.ItemValues.At(dd))
 			scores := make([]float64, k)
 			covered := false
 			for _, vt := range inc.votes[dd] {

@@ -16,9 +16,12 @@
 // the dense ids of a grown dataset extend the previous ones, and
 // Snapshot.Extend materialises that directly — it builds the grown
 // snapshot from the previous one and just the new records, bit-identical
-// to a full Compile at cost proportional to the ingest. This pair of
-// properties is what the incremental engine relies on to carry parameters
-// across refreshes and to keep warm-refresh compilation O(ingest).
+// to a full Compile. This pair of properties is what the incremental engine
+// relies on to carry parameters across refreshes and to keep warm-refresh
+// compilation O(ingest + chunks touched): the inverted indexes are
+// copy-on-write vectors (internal/cow) that a child forks and writes only
+// where the new records land, and the first child of a snapshot appends to
+// its tables and index rows in place, past every older reader's length.
 //
 // Snapshot.Shards partitions the item space by hashing item keys (see
 // Shard), giving the engine stable, disjoint slices of the E-step index

@@ -1,6 +1,10 @@
 package triple
 
-import "slices"
+import (
+	"slices"
+
+	"kbt/internal/cow"
+)
 
 // Extend compiles records on top of the snapshot, producing a new snapshot
 // equal to compiling the parent's records followed by the new ones in one
@@ -8,13 +12,19 @@ import "slices"
 // bit-identical downstream inference. The parent is not mutated and remains
 // fully usable.
 //
-// Cost: the flat tables (observations, labels, dense-id maps' outer slices)
-// are copied by cheap memcpy/header-copy; all per-row index construction and
-// label interning is proportional to the new records and the items they
-// touch, not the corpus. Inverted-index rows untouched by the new records
-// share backing arrays with the parent; interning maps are layered
+// Cost: proportional to the new records, the items they touch and the
+// chunks of index rows they land in — not the corpus. The first Extend of a
+// snapshot claims its tail (tailClaimed): the child adopts the parent's flat
+// append-only tables (observations, labels, PredOfItem) and appends into
+// their spare capacity, forks each inverted index (a copy of its chunk
+// headers, see internal/cow) and appends to index rows in place, past the
+// length every older snapshot reads. Index chunks and rows untouched by the
+// new records stay shared with the parent; a sorted insert that lands inside
+// a parent row copies that row once. Interning maps are layered
 // copy-on-write (flattened past a fixed depth, so lookup cost stays bounded
-// across arbitrarily long Extend lineages).
+// across arbitrarily long Extend lineages). A second Extend of the same
+// parent — a retry after a failed refresh, say — finds the tail claimed and
+// extends a private deep copy of every table instead, at O(corpus) cost.
 //
 // Invariants the child guarantees relative to its parent:
 //
@@ -48,24 +58,11 @@ func (s *Snapshot) Extend(records []Record) *Snapshot {
 			Obs: len(s.Obs), Triples: len(s.Triples), Items: len(s.Items),
 			Sources: len(s.Sources), Extractors: len(s.Extractors), Values: len(s.Values),
 		},
-
-		// Outer index slices are cloned so row clones and appends never
-		// write into the parent's arrays (a row-pointer replacement in a
-		// shared outer array would change what the parent reads); the rows
-		// themselves stay shared until the appender touches them.
-		ItemValues:         slices.Clone(s.ItemValues),
-		ByTriple:           slices.Clone(s.ByTriple),
-		TriplesOfItem:      slices.Clone(s.TriplesOfItem),
-		TriplesOfSource:    slices.Clone(s.TriplesOfSource),
-		ObsOfExtractor:     slices.Clone(s.ObsOfExtractor),
-		SourcesOfExtractor: slices.Clone(s.SourcesOfExtractor),
 	}
-	// The flat tables are append-only, so the child can adopt the parent's
-	// backing arrays outright and append into their spare capacity — the
-	// prefixes every holder of the parent reads are never written again.
-	// Only the first Extend of a given parent may do this (appends by a
-	// second child would collide in the shared tail); later ones, and the
-	// rare in-place confidence raise (see appender.add), copy.
+	// The first Extend of a parent claims its tail: the child adopts the
+	// parent's tables and appends past the prefixes every holder of the
+	// parent reads. A later one would collide in the shared tails, so it
+	// extends a private deep copy.
 	if s.tailClaimed.CompareAndSwap(false, true) {
 		c.Obs = s.Obs
 		c.obsShared = true
@@ -76,6 +73,12 @@ func (s *Snapshot) Extend(records []Record) *Snapshot {
 		c.Values = s.Values
 		c.Predicates = s.Predicates
 		c.PredOfItem = s.PredOfItem
+		c.ItemValues = s.ItemValues.Fork()
+		c.ByTriple = s.ByTriple.Fork()
+		c.TriplesOfItem = s.TriplesOfItem.Fork()
+		c.TriplesOfSource = s.TriplesOfSource.Fork()
+		c.ObsOfExtractor = s.ObsOfExtractor.Fork()
+		c.SourcesOfExtractor = s.SourcesOfExtractor.Fork()
 	} else {
 		c.Obs = append(make([]Observation, 0, len(s.Obs)+len(records)), s.Obs...)
 		c.Triples = slices.Clone(s.Triples)
@@ -85,10 +88,26 @@ func (s *Snapshot) Extend(records []Record) *Snapshot {
 		c.Values = slices.Clone(s.Values)
 		c.Predicates = slices.Clone(s.Predicates)
 		c.PredOfItem = slices.Clone(s.PredOfItem)
+		c.ItemValues = deepCopy(s.ItemValues)
+		c.ByTriple = deepCopy(s.ByTriple)
+		c.TriplesOfItem = deepCopy(s.TriplesOfItem)
+		c.TriplesOfSource = deepCopy(s.TriplesOfSource)
+		c.ObsOfExtractor = deepCopy(s.ObsOfExtractor)
+		c.SourcesOfExtractor = deepCopy(s.SourcesOfExtractor)
 	}
 	ap := newAppender(c, nil, nil)
 	for ri := range records {
 		ap.add(ri, records[ri])
 	}
 	return c
+}
+
+// deepCopy returns rows with every row copied into a fresh backing, so no
+// append or insert on the copy can reach another snapshot's rows.
+func deepCopy(rows cow.Vec[[]int]) cow.Vec[[]int] {
+	var out cow.Vec[[]int]
+	for _, row := range rows.All() {
+		out.Append(slices.Clone(row))
+	}
+	return out
 }

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"kbt/internal/cow"
 )
 
 // snapshotTables flattens every exported table of a snapshot for deep
@@ -32,11 +35,20 @@ func tablesOf(s *Snapshot) snapshotTables {
 	return snapshotTables{
 		Obs: s.Obs, Sources: s.Sources, Extractors: s.Extractors,
 		Items: s.Items, Values: s.Values, Predicates: s.Predicates,
-		PredOfItem: s.PredOfItem, ItemValues: s.ItemValues,
-		Triples: s.Triples, ByTriple: s.ByTriple,
-		TriplesOfItem: s.TriplesOfItem, TriplesOfSource: s.TriplesOfSource,
-		ObsOfExtractor: s.ObsOfExtractor, SourcesOfExtractor: s.SourcesOfExtractor,
+		PredOfItem: s.PredOfItem, ItemValues: rowsOf(s.ItemValues),
+		Triples: s.Triples, ByTriple: rowsOf(s.ByTriple),
+		TriplesOfItem: rowsOf(s.TriplesOfItem), TriplesOfSource: rowsOf(s.TriplesOfSource),
+		ObsOfExtractor: rowsOf(s.ObsOfExtractor), SourcesOfExtractor: rowsOf(s.SourcesOfExtractor),
 	}
+}
+
+// rowsOf flattens a copy-on-write index into plain rows.
+func rowsOf(v cow.Vec[[]int]) [][]int {
+	out := make([][]int, 0, v.Len())
+	for _, row := range v.All() {
+		out = append(out, row)
+	}
+	return out
 }
 
 // requireEqualSnapshots fails the test unless got and want are structurally
@@ -218,4 +230,61 @@ func TestExtendLabelCompiledPanics(t *testing.T) {
 		}
 	}()
 	s.Extend(recs[:1])
+}
+
+// TestExtendConcurrentWithParentReaders: readers walk every table and index
+// row of a parent snapshot while its first child — which claims the tail and
+// appends to the parent's rows in place — and 20 descendants are built. Run
+// under -race, this pins that the in-place appends never touch what a
+// reader of an older snapshot reads; afterwards the parent still equals a
+// fresh Compile.
+func TestExtendConcurrentWithParentReaders(t *testing.T) {
+	opt := CompileOptions{SourceKey: SourceKeyWebsite, ExtractorKey: ExtractorKeyName}
+	recs := randomStream(8, 1300)
+	const base, step = 300, 50
+	parent := (&Dataset{Records: recs[:base]}).Compile(opt)
+
+	const readers = 3
+	var ready, done sync.WaitGroup
+	ready.Add(readers)
+	done.Add(readers)
+	stop := make(chan struct{})
+	for g := 0; g < readers; g++ {
+		go func() {
+			defer done.Done()
+			for pass := 0; ; pass++ {
+				if pass == 1 {
+					ready.Done()
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				sum := len(parent.Obs) + len(parent.Triples) + len(parent.Items) + len(parent.PredOfItem)
+				for _, rows := range []cow.Vec[[]int]{parent.ItemValues, parent.ByTriple, parent.TriplesOfItem,
+					parent.TriplesOfSource, parent.ObsOfExtractor, parent.SourcesOfExtractor} {
+					for _, row := range rows.All() {
+						for _, x := range row {
+							sum += x
+						}
+					}
+				}
+				if sum < 0 {
+					t.Error("negative index")
+				}
+			}
+		}()
+	}
+	ready.Wait() // every reader has finished one full pass and is looping
+
+	snap := parent
+	for cut := base; cut < len(recs); cut += step {
+		snap = snap.Extend(recs[cut : cut+step])
+	}
+	close(stop)
+	done.Wait()
+
+	requireEqualSnapshots(t, parent, (&Dataset{Records: recs[:base]}).Compile(opt))
+	requireEqualSnapshots(t, snap, (&Dataset{Records: recs}).Compile(opt))
 }

@@ -99,22 +99,22 @@ func (s *Snapshot) ExtendShards(parent []Shard, prevItems, prevTriples int) []Sh
 		return s.Shards(n)
 	}
 	shards := slices.Clone(parent)
-	owned := make([]bool, n)
-	own := func(si int) {
-		if !owned[si] {
-			owned[si] = true
+	copied := make([]bool, n)
+	unshare := func(si int) {
+		if !copied[si] {
+			copied[si] = true
 			shards[si].Items = slices.Clone(shards[si].Items)
 			shards[si].Triples = slices.Clone(shards[si].Triples)
 		}
 	}
 	for d := prevItems; d < len(s.Items); d++ {
 		si := ShardOf(s.Items[d], n)
-		own(si)
+		unshare(si)
 		shards[si].Items = append(shards[si].Items, d)
 	}
 	for ti := prevTriples; ti < len(s.Triples); ti++ {
 		si := ShardOf(s.Items[s.Triples[ti].D], n)
-		own(si)
+		unshare(si)
 		shards[si].Triples = append(shards[si].Triples, ti)
 	}
 	return shards

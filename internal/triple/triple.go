@@ -3,8 +3,9 @@ package triple
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync/atomic"
+
+	"kbt/internal/cow"
 )
 
 // Record is one raw extraction with full provenance, before any choice of
@@ -194,39 +195,43 @@ type Snapshot struct {
 	delta *Delta
 
 	// tailClaimed grants the first Extend of this snapshot the right to
-	// append into the spare capacity of the flat append-only tables (Obs,
-	// Triples, labels, PredOfItem) instead of copying them. The value
-	// prefixes every reader sees stay immutable either way; later Extends
-	// of the same parent fall back to cloning. obsShared marks an adopted
-	// Obs backing, which must be unshared before the one in-place mutation
-	// the build performs (a duplicate cell raising a parent observation's
-	// confidence).
+	// append into the spare capacity of the append-only tables — the flat
+	// ones (Obs, Triples, labels, PredOfItem) and every index row — instead
+	// of copying them. The prefixes every reader sees stay immutable either
+	// way; later Extends of the same parent extend a private deep copy.
+	// obsShared marks an adopted Obs backing, which must be unshared before
+	// the one in-place mutation the build performs (a duplicate cell raising
+	// a parent observation's confidence).
 	tailClaimed atomic.Bool
 	obsShared   bool
 
+	// The inverted indexes below are copy-on-write vectors of rows (see
+	// internal/cow): an extended snapshot shares every chunk of rows its
+	// ingest did not touch with its parent. A row is read-only to callers.
+
 	// ItemValues lists, per data item, the distinct candidate values observed
 	// for it (sorted ascending for determinism).
-	ItemValues [][]int
+	ItemValues cow.Vec[[]int]
 
 	// ByTriple groups observation indices by (W,D,V) candidate triple;
 	// Triples lists the distinct candidate triples in deterministic order.
 	Triples  []TripleRef
-	ByTriple [][]int // parallel to Triples: indices into Obs
+	ByTriple cow.Vec[[]int] // parallel to Triples: indices into Obs
 
 	// TriplesOfItem indexes, per data item, the candidate triples (indices
 	// into Triples) that mention it.
-	TriplesOfItem [][]int
+	TriplesOfItem cow.Vec[[]int]
 
 	// TriplesOfSource indexes, per source, the candidate triples provided
 	// candidates for it.
-	TriplesOfSource [][]int
+	TriplesOfSource cow.Vec[[]int]
 
 	// ObsOfExtractor indexes, per extractor, its observation indices.
-	ObsOfExtractor [][]int
+	ObsOfExtractor cow.Vec[[]int]
 
 	// SourcesOfExtractor lists, per extractor, the distinct sources it
 	// extracted at least one triple from (its "attempted" scope).
-	SourcesOfExtractor [][]int
+	SourcesOfExtractor cow.Vec[[]int]
 }
 
 // TripleRef identifies one candidate triple (a (w,d,v) combination with at
@@ -330,55 +335,67 @@ func (t *internTable) intern(list *[]string, key string) int {
 // appender is the transient per-call state of the shared append-only build
 // path used by both Compile (from an empty snapshot) and Extend (from a
 // copy-on-write child of the parent). It maintains every inverted index
-// incrementally, cloning a parent-owned row the first time the call touches
-// it, and seeds its candidate-triple/observation lookup maps lazily per data
-// item — so an Extend call does work proportional to the new records plus
-// the items they touch, never the corpus.
+// incrementally and seeds its candidate-triple/observation lookup maps
+// lazily per data item — so an Extend call does work proportional to the new
+// records plus the items they touch, never the corpus.
+//
+// Index rows grow in place: an append writes past the length of every older
+// snapshot's view of the row, into capacity the tail claim (see Extend)
+// reserves for this lineage. Only a sorted insert that lands inside a row
+// rewrites values older snapshots read; such a row is copied once per call
+// (see privateRows).
 type appender struct {
 	s                    *Snapshot
 	srcLabels, extLabels []string // positional overrides (Compile only)
 
 	tripleIdx map[TripleRef]int // (w,d,v) -> triple index, seeded per item
 	obsIdx    map[[2]int]int    // (triple index, e) -> obs index
-	seeded    []bool            // items whose parent rows are loaded
+	nItems0   int               // items below this predate the call
+	seeded    map[int]bool      // older items whose rows are loaded
 
-	// Row-ownership bookkeeping: rows with index >= the n*0 watermark were
-	// created by this call; older rows are cloned before the first append.
-	nItems0, nTriples0, nSources0, nExtractors0 int
-	ownedItemRows, ownedTripleRows              map[int]bool
-	ownedSourceRows, ownedExtractorRows         map[int]bool
-	ownedValueRows, ownedExtractorSrcRows       map[int]bool
+	values, extSources privateRows // ItemValues, SourcesOfExtractor
 }
 
 func newAppender(s *Snapshot, srcLabels, extLabels []string) *appender {
-	ap := &appender{
+	return &appender{
 		s:         s,
 		srcLabels: srcLabels, extLabels: extLabels,
-		tripleIdx:             make(map[TripleRef]int),
-		obsIdx:                make(map[[2]int]int),
-		seeded:                make([]bool, len(s.Items)),
-		nItems0:               len(s.Items),
-		nTriples0:             len(s.Triples),
-		nSources0:             len(s.Sources),
-		nExtractors0:          len(s.Extractors),
-		ownedItemRows:         make(map[int]bool),
-		ownedTripleRows:       make(map[int]bool),
-		ownedSourceRows:       make(map[int]bool),
-		ownedExtractorRows:    make(map[int]bool),
-		ownedValueRows:        make(map[int]bool),
-		ownedExtractorSrcRows: make(map[int]bool),
+		tripleIdx:  make(map[TripleRef]int),
+		obsIdx:     make(map[[2]int]int),
+		nItems0:    len(s.Items),
+		seeded:     make(map[int]bool),
+		values:     privateRows{from: len(s.Items), copied: make(map[int]bool)},
+		extSources: privateRows{from: len(s.Extractors), copied: make(map[int]bool)},
 	}
-	return ap
 }
 
-// own clones rows[i] unless this call already owns it (created it, or cloned
-// it earlier), making an in-place append safe without mutating the parent.
-func own(rows [][]int, owned map[int]bool, i, watermark int) {
-	if i >= watermark || owned[i] {
+// privateRows tracks the rows of one sorted index table that the current
+// call may rewrite in place: the rows it created (index >= from) and the
+// older rows it has already copied.
+type privateRows struct {
+	from   int
+	copied map[int]bool
+}
+
+// appendRow appends x to row i in place (see appender).
+func appendRow(rows *cow.Vec[[]int], i, x int) {
+	rows.Set(i, append(rows.At(i), x))
+}
+
+// insertSorted adds x to the ascending row i unless it is already present.
+// An insert at the row's end appends in place like appendRow; one inside the
+// row shifts values older snapshots read, so an older row is copied first.
+func (p *privateRows) insertSorted(rows *cow.Vec[[]int], i, x int) {
+	row := rows.At(i)
+	k, found := slices.BinarySearch(row, x)
+	if found {
 		return
 	}
-	rows[i] = slices.Clone(rows[i])
-	owned[i] = true
+	if k < len(row) && i < p.from && !p.copied[i] {
+		row = append(make([]int, 0, len(row)+1), row...)
+		p.copied[i] = true
+	}
+	rows.Set(i, slices.Insert(row, k, x))
 }
 
 // seedItem loads the parent's candidate triples and observations for item d
@@ -386,14 +403,14 @@ func own(rows [][]int, owned map[int]bool, i, watermark int) {
 // into the maps at creation, so seeding before the item's first addition
 // captures exactly the parent state.
 func (ap *appender) seedItem(d int) {
-	if d >= len(ap.seeded) || ap.seeded[d] {
+	if d >= ap.nItems0 || ap.seeded[d] {
 		return
 	}
 	ap.seeded[d] = true
 	s := ap.s
-	for _, ti := range s.TriplesOfItem[d] {
+	for _, ti := range s.TriplesOfItem.At(d) {
 		ap.tripleIdx[s.Triples[ti]] = ti
-		for _, oi := range s.ByTriple[ti] {
+		for _, oi := range s.ByTriple.At(ti) {
 			ap.obsIdx[[2]int{ti, s.Obs[oi].E}] = oi
 		}
 	}
@@ -412,19 +429,19 @@ func (ap *appender) add(ri int, r Record) {
 		wKey = ap.srcLabels[ri]
 	}
 	e := s.extractorIdx.intern(&s.Extractors, eKey)
-	if e == len(s.ObsOfExtractor) {
-		s.ObsOfExtractor = append(s.ObsOfExtractor, nil)
-		s.SourcesOfExtractor = append(s.SourcesOfExtractor, nil)
+	if e == s.ObsOfExtractor.Len() {
+		s.ObsOfExtractor.Append(nil)
+		s.SourcesOfExtractor.Append(nil)
 	}
 	w := s.sourceIdx.intern(&s.Sources, wKey)
-	if w == len(s.TriplesOfSource) {
-		s.TriplesOfSource = append(s.TriplesOfSource, nil)
+	if w == s.TriplesOfSource.Len() {
+		s.TriplesOfSource.Append(nil)
 	}
 	d := s.itemIdx.intern(&s.Items, r.ItemKey())
 	if d == len(s.PredOfItem) {
 		s.PredOfItem = append(s.PredOfItem, s.predIdx.intern(&s.Predicates, r.Predicate))
-		s.TriplesOfItem = append(s.TriplesOfItem, nil)
-		s.ItemValues = append(s.ItemValues, nil)
+		s.TriplesOfItem.Append(nil)
+		s.ItemValues.Append(nil)
 	}
 	v := s.valueIdx.intern(&s.Values, r.Object)
 
@@ -435,16 +452,10 @@ func (ap *appender) add(ri int, r Record) {
 		ti = len(s.Triples)
 		ap.tripleIdx[tr] = ti
 		s.Triples = append(s.Triples, tr)
-		s.ByTriple = append(s.ByTriple, nil)
-		own(s.TriplesOfItem, ap.ownedItemRows, d, ap.nItems0)
-		s.TriplesOfItem[d] = append(s.TriplesOfItem[d], ti)
-		own(s.TriplesOfSource, ap.ownedSourceRows, w, ap.nSources0)
-		s.TriplesOfSource[w] = append(s.TriplesOfSource[w], ti)
-		vs := s.ItemValues[d]
-		if k := sort.SearchInts(vs, v); k == len(vs) || vs[k] != v {
-			own(s.ItemValues, ap.ownedValueRows, d, ap.nItems0)
-			s.ItemValues[d] = slices.Insert(s.ItemValues[d], k, v)
-		}
+		s.ByTriple.Append(nil)
+		appendRow(&s.TriplesOfItem, d, ti)
+		appendRow(&s.TriplesOfSource, w, ti)
+		ap.values.insertSorted(&s.ItemValues, d, v)
 	}
 
 	ok2 := [2]int{ti, e}
@@ -469,15 +480,9 @@ func (ap *appender) add(ri int, r Record) {
 	oi := len(s.Obs)
 	ap.obsIdx[ok2] = oi
 	s.Obs = append(s.Obs, Observation{E: e, W: w, D: d, V: v, Conf: r.Conf()})
-	own(s.ByTriple, ap.ownedTripleRows, ti, ap.nTriples0)
-	s.ByTriple[ti] = append(s.ByTriple[ti], oi)
-	own(s.ObsOfExtractor, ap.ownedExtractorRows, e, ap.nExtractors0)
-	s.ObsOfExtractor[e] = append(s.ObsOfExtractor[e], oi)
-	srcs := s.SourcesOfExtractor[e]
-	if k := sort.SearchInts(srcs, w); k == len(srcs) || srcs[k] != w {
-		own(s.SourcesOfExtractor, ap.ownedExtractorSrcRows, e, ap.nExtractors0)
-		s.SourcesOfExtractor[e] = slices.Insert(s.SourcesOfExtractor[e], k, w)
-	}
+	appendRow(&s.ByTriple, ti, oi)
+	appendRow(&s.ObsOfExtractor, e, oi)
+	ap.extSources.insertSorted(&s.SourcesOfExtractor, e, w)
 }
 
 // Delta describes how a snapshot built by Extend differs from its parent:
@@ -540,7 +545,7 @@ func (s *Snapshot) ValueID(label string) int {
 
 // TripleIndex returns the candidate-triple index for (w,d,v), or -1.
 func (s *Snapshot) TripleIndex(w, d, v int) int {
-	for _, ti := range s.TriplesOfItem[d] {
+	for _, ti := range s.TriplesOfItem.At(d) {
 		tr := s.Triples[ti]
 		if tr.W == w && tr.V == v {
 			return ti

@@ -72,7 +72,7 @@ func TestCompileBasic(t *testing.T) {
 	dItem := s.ItemID("Obama", "nationality")
 	vUSA := s.ValueID("USA")
 	ti := s.TripleIndex(w1, dItem, vUSA)
-	if ti < 0 || len(s.ByTriple[ti]) != 2 {
+	if ti < 0 || len(s.ByTriple.At(ti)) != 2 {
 		t.Fatalf("ByTriple for (w1,nat,USA) = %v", ti)
 	}
 }
@@ -141,7 +141,7 @@ func TestIndexesConsistent(t *testing.T) {
 
 	// Every observation appears in exactly one ByTriple bucket.
 	seen := make(map[int]int)
-	for ti, idxs := range s.ByTriple {
+	for ti, idxs := range s.ByTriple.All() {
 		tr := s.Triples[ti]
 		for _, oi := range idxs {
 			o := s.Obs[oi]
@@ -161,7 +161,7 @@ func TestIndexesConsistent(t *testing.T) {
 	}
 
 	// ItemValues are sorted and deduped.
-	for d_, vs := range s.ItemValues {
+	for d_, vs := range s.ItemValues.All() {
 		if !sort.IntsAreSorted(vs) {
 			t.Fatalf("ItemValues[%d] not sorted: %v", d_, vs)
 		}
@@ -173,9 +173,9 @@ func TestIndexesConsistent(t *testing.T) {
 	}
 
 	// SourcesOfExtractor matches the observations.
-	for e, srcs := range s.SourcesOfExtractor {
+	for e, srcs := range s.SourcesOfExtractor.All() {
 		want := make(map[int]bool)
-		for _, oi := range s.ObsOfExtractor[e] {
+		for _, oi := range s.ObsOfExtractor.At(e) {
 			want[s.Obs[oi].W] = true
 		}
 		if len(want) != len(srcs) {
@@ -229,14 +229,14 @@ func TestCompilePropertyEveryObsIndexed(t *testing.T) {
 		}
 		s := d.Compile(CompileOptions{})
 		count := 0
-		for _, idxs := range s.ObsOfExtractor {
+		for _, idxs := range s.ObsOfExtractor.All() {
 			count += len(idxs)
 		}
 		if count != len(s.Obs) {
 			return false
 		}
 		count = 0
-		for _, idxs := range s.ByTriple {
+		for _, idxs := range s.ByTriple.All() {
 			count += len(idxs)
 		}
 		return count == len(s.Obs)

@@ -114,14 +114,15 @@ func parseLine(line string) (Record, error) {
 
 // escape protects tabs, newlines and carriage returns inside field values
 // (the line scanner would otherwise split on the former and strip the
-// latter).
+// latter). It works byte-wise: every escaped character is ASCII, and a
+// field that is not valid UTF-8 must come back byte for byte.
 func escape(s string) string {
 	if !strings.ContainsAny(s, "\t\n\r\\") {
 		return s
 	}
 	var b strings.Builder
-	for _, c := range s {
-		switch c {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
 		case '\t':
 			b.WriteString(`\t`)
 		case '\n':
@@ -131,7 +132,7 @@ func escape(s string) string {
 		case '\\':
 			b.WriteString(`\\`)
 		default:
-			b.WriteRune(c)
+			b.WriteByte(c)
 		}
 	}
 	return b.String()

@@ -3,6 +3,7 @@ package triple
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -137,16 +138,18 @@ func TestReadTSVSkipsCommentsAndBlank(t *testing.T) {
 	}
 }
 
+// badTSVLines are inputs ReadTSV must reject.
+var badTSVLines = []string{
+	"E1\tp\tw\tw/1\ts\tpred\n",                // too few columns
+	"E1\tp\tw\tw/1\ts\tpred\to\t0.5\textra\n", // too many columns
+	"E1\tp\tw\tw/1\ts\tpred\to\tnope\n",       // bad confidence
+	"E1\tp\tw\tw/1\ts\tpred\to\t1.5\n",        // out-of-range confidence
+	"E1\tp\tw\tw/1\ts\tpred\to\t-0.25\n",      // negative confidence
+	"E1\tp\tw\tw/1\ts\tpred\to\tNaN\n",        // NaN confidence
+}
+
 func TestReadTSVErrors(t *testing.T) {
-	cases := []string{
-		"E1\tp\tw\tw/1\ts\tpred\n",                // too few columns
-		"E1\tp\tw\tw/1\ts\tpred\to\t0.5\textra\n", // too many columns
-		"E1\tp\tw\tw/1\ts\tpred\to\tnope\n",       // bad confidence
-		"E1\tp\tw\tw/1\ts\tpred\to\t1.5\n",        // out-of-range confidence
-		"E1\tp\tw\tw/1\ts\tpred\to\t-0.25\n",      // negative confidence
-		"E1\tp\tw\tw/1\ts\tpred\to\tNaN\n",        // NaN confidence
-	}
-	for _, in := range cases {
+	for _, in := range badTSVLines {
 		if _, err := ReadTSV(strings.NewReader(in)); err == nil {
 			t.Errorf("expected error for %q", in)
 		}
@@ -181,4 +184,31 @@ func TestReadTSVMissingConfidenceColumn(t *testing.T) {
 	if d.Records[0].Conf() != 1 {
 		t.Errorf("missing confidence should mean 1, got %v", d.Records[0].Conf())
 	}
+}
+
+// FuzzReadTSV: ReadTSV never panics, and every input it accepts survives a
+// WriteTSV -> ReadTSV round trip unchanged. The first seed is a field that
+// needs escaping and is not valid UTF-8 (its byte once came back as U+FFFD).
+func FuzzReadTSV(f *testing.F) {
+	f.Add("0\t\t\t\t\\t\x88\t\t")
+	for _, in := range badTSVLines {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		d, err := ReadTSV(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteTSV(&buf, d); err != nil {
+			t.Fatalf("WriteTSV: %v", err)
+		}
+		back, err := ReadTSV(&buf)
+		if err != nil {
+			t.Fatalf("re-reading %q: %v", buf.String(), err)
+		}
+		if !reflect.DeepEqual(back.Records, d.Records) {
+			t.Fatalf("round trip changed the records:\n got  %+v\n want %+v", back.Records, d.Records)
+		}
+	})
 }

@@ -335,7 +335,7 @@ func topTriLess(a, b TripleVerdict) bool {
 func (r *Result) forEachVerdict(fn func(TripleVerdict)) {
 	for d := range r.snap.Items {
 		subj, pred := splitItem(r.snap.Items[d])
-		for _, v := range r.snap.ItemValues[d] {
+		for _, v := range r.snap.ItemValues.At(d) {
 			p, covered := r.res.TripleProb(d, v)
 			if !covered {
 				continue
@@ -561,7 +561,7 @@ func (r *FusionResult) Triples() []TripleVerdict {
 			continue
 		}
 		subj, pred := splitItem(r.snap.Items[d])
-		for k, v := range r.snap.ItemValues[d] {
+		for k, v := range r.snap.ItemValues.At(d) {
 			out = append(out, TripleVerdict{
 				Subject: subj, Predicate: pred, Object: r.snap.Values[v],
 				Probability: r.res.ValueProb[d][k],
