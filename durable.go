@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"kbt/internal/core"
 	"kbt/internal/triple"
 	"kbt/internal/wal"
 )
@@ -40,8 +41,9 @@ type DurableOptions struct {
 	// CompactAfterBatches bounds the checkpoint chain: once it carries at
 	// least this many ingest-batch ops, the next checkpoint compacts —
 	// writes a single cold-anchor base covering the full record prefix,
-	// removes the deltas, and re-anchors the live engine on that image (the
-	// O(corpus) shape every checkpoint had before chains; see Checkpoint).
+	// removes the deltas, and re-anchors the live engine on the state
+	// recovery rebuilds from it: a cold EM over the live compiled snapshot
+	// (O(corpus) in the EM and the base write; see Checkpoint).
 	// Zero means the default 256; negative disables compaction.
 	CompactAfterBatches int
 	// NoSync skips every fsync. Benchmarks and tests only: a crash can then
@@ -168,6 +170,13 @@ type HealthStatus struct {
 	// is the log sequence the checkpoint chain covers up to.
 	WALBytes            int64
 	CheckpointWatermark uint64
+	// CompactionDrift is the warm-vs-cold gap measured at the most recent
+	// compaction in this process (zero before one): the largest absolute
+	// difference, over source accuracies, extractor precisions and recalls
+	// and covered triple posteriors, between the live generation and the
+	// cold estimate that replaced it on the same snapshot. It shows how far
+	// incremental state had drifted from a cold rebuild.
+	CompactionDrift float64
 }
 
 // DurableEngine is an Engine whose ingest stream survives process death. It
@@ -197,9 +206,12 @@ type HealthStatus struct {
 // ran, which is what keeps the bit-identity contract without a re-anchor.
 // Once the chain accumulates CompactAfterBatches ingest ops it is compacted:
 // a single base holding the full record prefix replaces it, and the live
-// engine is re-anchored on that image — a cold recompile of the prefix, the
-// exact state recovery would rebuild — which may move the published
-// estimates within the documented ≤1e-9 incremental-vs-oracle envelope.
+// engine is re-anchored on the exact state recovery would rebuild from that
+// base — a cold EM over the live compiled snapshot, which the snapshot's
+// Extend-equals-Compile contract makes identical to compiling the prefix
+// again. The re-anchor may move the published estimates within the
+// documented ≤1e-9 incremental-vs-oracle envelope; HealthStatus reports the
+// gap it closed as CompactionDrift.
 type DurableEngine struct {
 	opt  EngineOptions
 	dopt DurableOptions
@@ -223,6 +235,8 @@ type DurableEngine struct {
 	hasChain     bool
 	ckWatermark  uint64
 	chainBatches int
+	// drift is HealthStatus.CompactionDrift.
+	drift float64
 	// lastCkpt anchors the CheckpointInterval cadence: set at open and after
 	// every checkpoint (including ones that found nothing to persist).
 	lastCkpt time.Time
@@ -541,6 +555,7 @@ func (d *DurableEngine) Health() HealthStatus {
 		Heals:               d.heals.Load(),
 		WALBytes:            d.log.Size(),
 		CheckpointWatermark: d.ckWatermark,
+		CompactionDrift:     d.drift,
 	}
 	if d.lastFault != nil {
 		st.LastFault = d.lastFault.Error()
@@ -733,15 +748,34 @@ func (d *DurableEngine) checkpointLocked() error {
 	switch {
 	case compactAfter > 0 && d.chainBatches+newBatches >= compactAfter:
 		// Compact: one cold-anchor base replaces the chain, and the live
-		// engine is re-anchored on the image just written — the exact state
-		// recovery would rebuild. From here on, live and recovered state
-		// march in lockstep through the same warm refreshes again.
-		recs := eng.eng.Records()
+		// engine is re-anchored on the state recovery would rebuild from it:
+		// a cold EM over the live compiled snapshot, which is what compiling
+		// the base's records yields (Extend is bit-identical to Compile).
+		// From here on, live and recovered state march in lockstep through
+		// the same warm refreshes again. The new engine is built and
+		// refreshed before the base is published, so a failure leaves the
+		// chain on disk and its mirror here untouched.
+		rebased, err := eng.eng.Rebase()
+		if err != nil {
+			return err
+		}
+		fresh := &Engine{eng: rebased, opt: d.opt, keys: keyring{cap: defaultKeyRetention}}
+		recs := rebased.Records()
 		var ops []wal.CheckpointOp
 		recordOps := 0
+		drift := 0.0
 		if len(recs) > 0 {
 			ops = []wal.CheckpointOp{{Records: recs, Refreshes: 1}}
 			recordOps = 1
+			cold, err := rebased.Refresh()
+			if err != nil {
+				return err
+			}
+			// Both generations sit on the same snapshot ids, so the
+			// warm-vs-cold gap needs no remap.
+			if warm := eng.eng.Last(); warm != nil {
+				drift = core.MaxGap(warm.Inference, cold.Inference)
+			}
 		}
 		// Folding the chain into one record op loses the per-op keys, so the
 		// retained dedup set rides the base explicitly as key-only ops —
@@ -755,20 +789,9 @@ func (d *DurableEngine) checkpointLocked() error {
 		if err := wal.WriteCheckpointBase(d.dopt.fs, d.dir, ck); err != nil {
 			return &storageFault{err}
 		}
-		fresh, err := NewEngine(d.opt)
-		if err != nil {
-			return err
-		}
-		if len(recs) > 0 {
-			if err := fresh.eng.Ingest(recs...); err != nil {
-				return err
-			}
-			if _, err := fresh.Refresh(); err != nil {
-				return err
-			}
-		}
 		d.eng.Store(fresh)
 		d.chainBatches = recordOps
+		d.drift = drift
 	case d.hasChain:
 		ck := &wal.Checkpoint{Watermark: watermark, Fingerprint: fp, Ops: d.opsSince}
 		if err := wal.WriteCheckpointDelta(d.dopt.fs, d.dir, d.ckWatermark, ck); err != nil {

@@ -45,11 +45,12 @@ func BenchmarkDurableRefreshWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpoint is the tentpole gate for incremental checkpoints: a
-// 100k-record corpus with a small per-iteration delta, checkpointed either
-// incrementally (delta append on the chain, live engine untouched) or in the
-// cold pre-chain shape (CompactAfterBatches: 1 forces every checkpoint to
-// compact — the full O(corpus) recompile every checkpoint used to pay). The
+// BenchmarkCheckpoint is the gate for incremental checkpoints and for
+// compaction: a 100k-record corpus with a small per-iteration delta,
+// checkpointed either incrementally (delta append on the chain, live engine
+// untouched) or compacting every time (CompactAfterBatches: 1 — the
+// O(corpus) shape every checkpoint had before chains: the full base write
+// plus the re-anchor, a cold EM over the live compiled snapshot). The
 // acceptance bar is incremental ≥5x faster than cold.
 func BenchmarkCheckpoint(b *testing.B) {
 	const corpusN = 100_000

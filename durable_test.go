@@ -3,6 +3,7 @@ package kbt
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"kbt/internal/engine"
 	"kbt/internal/triple"
 	"kbt/internal/wal"
 )
@@ -1839,5 +1841,156 @@ func TestCheckpointFaultClassification(t *testing.T) {
 	}
 	if state != StateDegraded {
 		t.Fatalf("storage fault left state %v, want degraded", state)
+	}
+}
+
+// assertGenerationsIdentical compares two published generations bit for
+// bit: the snapshot's flat tables, every parameter and posterior, and the
+// copy and fusion layers.
+func assertGenerationsIdentical(t *testing.T, label string, a, b *engine.Result) {
+	t.Helper()
+	sa, sb := a.Snapshot, b.Snapshot
+	if !reflect.DeepEqual(sa.Obs, sb.Obs) || !reflect.DeepEqual(sa.Triples, sb.Triples) ||
+		!reflect.DeepEqual(sa.Sources, sb.Sources) || !reflect.DeepEqual(sa.Items, sb.Items) ||
+		!reflect.DeepEqual(sa.Extractors, sb.Extractors) || !reflect.DeepEqual(sa.Values, sb.Values) {
+		t.Fatalf("%s: snapshots differ", label)
+	}
+	ia, ib := a.Inference, b.Inference
+	for w := range ia.NumSources() {
+		if ia.AAt(w) != ib.AAt(w) || ia.ExpectedTriplesAt(w) != ib.ExpectedTriplesAt(w) {
+			t.Fatalf("%s: source %d differs", label, w)
+		}
+	}
+	for e := range ia.NumExtractors() {
+		if ia.PAt(e) != ib.PAt(e) || ia.RAt(e) != ib.RAt(e) || ia.QAt(e) != ib.QAt(e) {
+			t.Fatalf("%s: extractor %d differs", label, e)
+		}
+	}
+	for ti := range ia.NumTriples() {
+		if ia.CProbAt(ti) != ib.CProbAt(ti) || ia.CoveredTripleAt(ti) != ib.CoveredTripleAt(ti) {
+			t.Fatalf("%s: triple %d differs", label, ti)
+		}
+	}
+	for d := range ia.NumItems() {
+		if !reflect.DeepEqual(ia.ValueRow(d), ib.ValueRow(d)) || ia.RestMassAt(d) != ib.RestMassAt(d) ||
+			ia.CoveredItemAt(d) != ib.CoveredItemAt(d) {
+			t.Fatalf("%s: item %d differs", label, d)
+		}
+	}
+	if ia.Iterations != ib.Iterations || ia.Converged != ib.Converged {
+		t.Fatalf("%s: iterations/converged %d/%v vs %d/%v", label, ia.Iterations, ia.Converged, ib.Iterations, ib.Converged)
+	}
+	if !reflect.DeepEqual(a.CopyDeps, b.CopyDeps) {
+		t.Fatalf("%s: copy dependencies differ", label)
+	}
+	if !reflect.DeepEqual(a.Fusion, b.Fusion) {
+		t.Fatalf("%s: fusion generations differ", label)
+	}
+}
+
+// TestDurableCompactionMatchesColdRebuild: with copy detection and fusion
+// on and compaction every 2 or 3 batches, the engine each compaction
+// re-anchors on (a cold EM over the live compiled snapshot) must publish
+// exactly what the old rebuild path publishes — a new engine that ingests
+// every record and refreshes cold — and a restart must recover exactly the
+// live state. Each compaction's reported drift must equal the warm-vs-cold
+// gap computed here against that rebuild.
+func TestDurableCompactionMatchesColdRebuild(t *testing.T) {
+	for _, compactAfter := range []int{2, 3} {
+		t.Run(fmt.Sprintf("compact=%d", compactAfter), func(t *testing.T) {
+			opt := durableTestOptions()
+			opt.CopyDetect = true
+			opt.Fusion = true
+			dir := t.TempDir()
+			d, err := OpenDurable(dir, opt, DurableOptions{CompactAfterBatches: compactAfter})
+			if err != nil {
+				t.Fatal(err)
+			}
+			next, compactions, drifted := 0, 0, 0
+			for step := 0; step < 10; step++ {
+				batch := make([]Extraction, 3+step%4)
+				for i := range batch {
+					batch[i] = durableExtraction(next)
+					next++
+				}
+				if err := d.Ingest(batch...); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := d.Refresh(); err != nil {
+					t.Fatal(err)
+				}
+				before := d.eng.Load()
+				warm := before.eng.Last()
+				if err := d.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				if d.eng.Load() == before {
+					continue
+				}
+				compactions++
+				label := fmt.Sprintf("compaction %d (step %d)", compactions, step)
+				rebuild, err := NewEngine(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := rebuild.eng.Ingest(before.eng.Records()...); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := rebuild.Refresh(); err != nil {
+					t.Fatal(err)
+				}
+				cold := rebuild.eng.Last()
+				assertGenerationsIdentical(t, label, d.eng.Load().eng.Last(), cold)
+
+				gap := 0.0
+				w, c := warm.Inference, cold.Inference
+				for i := range w.NumSources() {
+					gap = max(gap, math.Abs(w.AAt(i)-c.AAt(i)))
+				}
+				for i := range w.NumExtractors() {
+					gap = max(gap, math.Abs(w.PAt(i)-c.PAt(i)), math.Abs(w.RAt(i)-c.RAt(i)))
+				}
+				for i := range w.NumTriples() {
+					if w.CoveredTripleAt(i) || c.CoveredTripleAt(i) {
+						gap = max(gap, math.Abs(w.CProbAt(i)-c.CProbAt(i)))
+					}
+				}
+				if got := d.Health().CompactionDrift; got != gap {
+					t.Fatalf("%s: CompactionDrift = %g, warm-vs-cold gap is %g", label, got, gap)
+				}
+				if gap > 0 {
+					drifted++
+				}
+			}
+			if compactions < 2 || drifted == 0 {
+				t.Fatalf("%d compactions, %d with drift: the schedule never exercised the re-anchor", compactions, drifted)
+			}
+			// A log tail past the chain: recovery replays it warm on top of
+			// the compacted base, as the live engine ran it.
+			for range 2 {
+				if err := d.Ingest(durableExtraction(next), durableExtraction(next+1)); err != nil {
+					t.Fatal(err)
+				}
+				next += 2
+				if _, err := d.Refresh(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			live, _ := d.eng.Load().Current()
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := OpenDurable(dir, opt, DurableOptions{CompactAfterBatches: compactAfter})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rec.Close()
+			got, ok := rec.eng.Load().Current()
+			if !ok {
+				t.Fatal("no recovered generation")
+			}
+			assertResultsIdentical(t, "recovered", got, live)
+			assertGenerationsIdentical(t, "recovered", rec.eng.Load().eng.Last(), d.eng.Load().eng.Last())
+		})
 	}
 }

@@ -169,6 +169,29 @@ func (r *Result) KBT(w int, minTriples float64) (float64, bool) {
 	return a, true
 }
 
+// MaxGap returns the largest absolute difference between two results over
+// the same snapshot ids: source accuracy, extractor precision and recall, and
+// the correctness posterior of every triple either result covers. Sizes must
+// match; the gap between a warm generation and a cold estimate on the same
+// evidence measures how far incremental state has drifted.
+func MaxGap(a, b *Result) float64 {
+	gap := 0.0
+	note := func(x, y float64) { gap = max(gap, math.Abs(x-y)) }
+	for w := range a.NumSources() {
+		note(a.AAt(w), b.AAt(w))
+	}
+	for e := range a.NumExtractors() {
+		note(a.PAt(e), b.PAt(e))
+		note(a.RAt(e), b.RAt(e))
+	}
+	for ti := range a.NumTriples() {
+		if a.CoveredTripleAt(ti) || b.CoveredTripleAt(ti) {
+			note(a.CProbAt(ti), b.CProbAt(ti))
+		}
+	}
+	return gap
+}
+
 // Run executes Algorithm 1 on the snapshot.
 func Run(s *triple.Snapshot, opt Options) (*Result, error) {
 	if s == nil {

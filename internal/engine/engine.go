@@ -37,6 +37,11 @@
 //     Refresh — an old generation a reader holds stays valid and bit-stable
 //     across any number of later swaps.
 //
+// Rebase re-anchors without recompiling: it starts a new engine on another
+// engine's records and current snapshot, and the new engine's first Refresh
+// runs the cold estimate on that snapshot. The durable layer's checkpoint
+// compaction uses it to put the live engine on the state recovery rebuilds.
+//
 // Stages I and II of Algorithm 1 are independent per candidate triple
 // respectively per item, so each shard's E-step runs as one task on the
 // internal/parallel worker pool with no cross-shard writes; stages III and
@@ -211,6 +216,13 @@ type Engine struct {
 	ds      *triple.Dataset
 	pending []triple.Record // ingested since the last Refresh
 
+	// seed is the compiled snapshot a Rebase hands the new engine, covering
+	// exactly its first seedLen records; the first Refresh runs its cold
+	// estimate on it instead of compiling the records again. Written under
+	// mu, read by Refresh, cleared once a refresh publishes.
+	seed    *triple.Snapshot
+	seedLen int
+
 	// State persisted across refreshes. On the default path the EM state
 	// itself persists: core.NewEMFrom extends em's index structures,
 	// parameters, priors and M-step aggregates append-only with the
@@ -305,11 +317,48 @@ func (e *Engine) Ingest(recs ...triple.Record) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, r := range recs {
-		e.ds.Add(r)
-		e.pending = append(e.pending, r)
+	if n := len(e.ds.Records) + len(recs); n > cap(e.ds.Records) {
+		// Reallocate with a quarter of headroom: a bulk append (recovery
+		// ingests a whole compacted base in one call) would otherwise fit
+		// exactly, and the next small batch would copy the corpus again.
+		e.ds.Records = slices.Grow(e.ds.Records, len(recs)+n/4)
 	}
+	e.ds.Records = append(e.ds.Records, recs...)
+	e.pending = append(e.pending, recs...)
 	return nil
+}
+
+// Rebase returns a new engine holding e's records whose first Refresh runs
+// the ordinary cold estimate (shard views, fresh EM state, Bootstrap, full
+// EM, fresh copy tracker and fusion store) on e's current compiled snapshot
+// instead of compiling the records again. Extend is bit-identical to
+// Compile, so the result is the one a new engine that ingested the same
+// records would publish, without the O(corpus) compile. Under FullRecompile
+// the new engine compiles anyway: that mode is the correctness oracle.
+//
+// e must have no pending records, so that its snapshot covers exactly its
+// records. The new engine shares the record slice capped at its length — its
+// first Ingest copies — and never writes e's Dataset. e stays fully usable;
+// only the new engine's refreshes extend the shared snapshot, unless e
+// refreshes again, in which case the second extension copies (see
+// triple.Snapshot.Extend).
+func (e *Engine) Rebase() (*Engine, error) {
+	e.refreshMu.Lock()
+	defer e.refreshMu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if len(e.pending) > 0 {
+		return nil, fmt.Errorf("engine: cannot rebase with %d records pending; refresh first", len(e.pending))
+	}
+	n := len(e.ds.Records)
+	recs := e.ds.Records[:n:n]
+	r := New(e.opt)
+	r.ds = &triple.Dataset{Records: recs}
+	r.pending = recs
+	if !e.opt.FullRecompile {
+		r.seed, r.seedLen = e.snap, n
+	}
+	return r, nil
 }
 
 // Validate runs the per-record ingest validation over a batch without
@@ -438,16 +487,20 @@ func (e *Engine) Refresh() (*Result, error) {
 		e.mu.Unlock()
 		return res, nil
 	}
+	// Both views are capped: a concurrent Ingest appends past them into
+	// fresh backing storage, and nothing rewrites an ingested record.
 	records := e.ds.Records[:nRec:nRec]
-	pending := append([]triple.Record(nil), e.pending[:nPending]...)
+	pending := e.pending[:nPending:nPending]
 	prevShards := e.shards
+	seed, seedLen := e.seed, e.seedLen
 	e.mu.Unlock()
 
 	// Warm path: extend the previous snapshot and its shard views with just
 	// the pending records — pending is exactly the record suffix ingested
 	// since prev was built, so the result is bit-identical to recompiling
 	// the corpus, at O(ingest) cost. Cold (and FullRecompile) refreshes
-	// compile from scratch.
+	// compile from scratch, except a rebased engine's first, which starts
+	// from the snapshot Rebase handed over.
 	prev := e.snap
 	var snap *triple.Snapshot
 	var shards []triple.Shard
@@ -463,6 +516,15 @@ func (e *Engine) Refresh() (*Result, error) {
 			shards = snap.ExtendShards(prevShards, len(prev.Items), len(prev.Triples))
 		}
 		extended = true
+	} else if seed != nil {
+		// A rebased engine's first refresh: the donor's snapshot already
+		// compiles records[:seedLen], and anything ingested since the Rebase
+		// extends it, exactly as a compile of all the records would read.
+		snap = seed
+		if nRec > seedLen {
+			snap = seed.Extend(records[seedLen:])
+		}
+		shards = snap.Shards(e.opt.Shards)
 	} else {
 		snap = (&triple.Dataset{Records: records}).Compile(triple.CompileOptions{
 			SourceKey:    e.opt.SourceKey,
@@ -877,6 +939,7 @@ func (e *Engine) Refresh() (*Result, error) {
 	e.scope, e.scopeNext = sc, nsc
 	e.mu.Lock()
 	e.snap = snap
+	e.seed = nil
 	e.shards = shards
 	e.em = em
 	e.cProb, e.valueProb, e.restMass, e.coveredItem = cProb, valueProb, restMass, coveredItem

@@ -735,3 +735,26 @@ func TestEnsureFloatsGrowsAmortized(t *testing.T) {
 		t.Errorf("growing by one 1000 times used %d backings, want < 40", len(backings))
 	}
 }
+
+// TestIngestBulkKeepsHeadroom: a bulk ingest — recovery's whole compacted
+// base — leaves headroom behind the records, so the small batches that
+// follow append in place instead of copying the corpus again.
+func TestIngestBulkKeepsHeadroom(t *testing.T) {
+	eng := New(DefaultOptions())
+	recs := localDataset(400)
+	if err := eng.Ingest(recs...); err != nil {
+		t.Fatal(err)
+	}
+	first := &eng.ds.Records[0]
+	for i := range 10 {
+		if err := eng.Ingest(recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if &eng.ds.Records[0] != first {
+		t.Fatal("small batches after a bulk ingest reallocated the record slice")
+	}
+	if eng.Len() != len(recs)+10 || eng.Pending() != len(recs)+10 {
+		t.Fatalf("Len %d Pending %d, want %d", eng.Len(), eng.Pending(), len(recs)+10)
+	}
+}

@@ -479,7 +479,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // statsReply is the /v1/stats document. The health block (health through
-// checkpoint_watermark) appears only when the engine reports health — i.e.
+// compaction_drift) appears only when the engine reports health — i.e.
 // when serving a durable engine.
 type statsReply struct {
 	Records   int               `json:"records"`
@@ -495,6 +495,9 @@ type statsReply struct {
 	LastFault           string `json:"last_fault,omitempty"`
 	WALBytes            int64  `json:"wal_bytes,omitempty"`
 	CheckpointWatermark uint64 `json:"checkpoint_watermark,omitempty"`
+	// CompactionDrift is a pointer so a durable engine reports a measured
+	// zero while an in-memory one omits the field.
+	CompactionDrift *float64 `json:"compaction_drift,omitempty"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -519,6 +522,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		reply.LastFault = h.LastFault
 		reply.WALBytes = h.WALBytes
 		reply.CheckpointWatermark = h.CheckpointWatermark
+		reply.CompactionDrift = &h.CompactionDrift
 	}
 	s.mu.Lock()
 	reply.LastError = s.lastErr

@@ -635,6 +635,7 @@ func (f *faultyEngine) Health() kbt.HealthStatus {
 	h := f.health
 	h.WALBytes = 4096
 	h.CheckpointWatermark = 17
+	h.CompactionDrift = 0.25
 	return h
 }
 
@@ -743,7 +744,7 @@ func TestHealthzReportsEngineState(t *testing.T) {
 }
 
 // TestStatsReportsHealthBlock pins the /v1/stats health block: present (with
-// counters and storage watermarks) on a health-reporting engine, absent on a
+// counters, storage watermarks and the compaction drift) on a health-reporting engine, absent on a
 // plain in-memory engine.
 func TestStatsReportsHealthBlock(t *testing.T) {
 	fe := &faultyEngine{Engine: testEngine(t)}
@@ -766,6 +767,9 @@ func TestStatsReportsHealthBlock(t *testing.T) {
 	if st.WALBytes != 4096 || st.CheckpointWatermark != 17 {
 		t.Fatalf("stats watermarks = wal %d, ckpt %d, want 4096 and 17", st.WALBytes, st.CheckpointWatermark)
 	}
+	if st.CompactionDrift == nil || *st.CompactionDrift != 0.25 {
+		t.Fatalf("stats compaction_drift = %v, want 0.25", st.CompactionDrift)
+	}
 
 	plain := New(testEngine(t), Options{RefreshEvery: -1})
 	defer plain.Close()
@@ -777,7 +781,7 @@ func TestStatsReportsHealthBlock(t *testing.T) {
 	}
 	var stPlain statsReply
 	decodeInto(t, resp, &stPlain)
-	if stPlain.Health != "" || stPlain.Faults != 0 || stPlain.WALBytes != 0 {
+	if stPlain.Health != "" || stPlain.Faults != 0 || stPlain.WALBytes != 0 || stPlain.CompactionDrift != nil {
 		t.Fatalf("plain-engine stats grew a health block: %+v", stPlain)
 	}
 }

@@ -121,28 +121,41 @@ func parseDeltaName(name string) (uint64, bool) {
 	return w, true
 }
 
+// encodeCkptPart frames one checkpoint part: magic, CRC32-C of the payload,
+// payload length, payload. The payload is sized first, so the part is built
+// in one exact allocation and the CRC and length are written in place.
 func encodeCkptPart(prev uint64, ck *Checkpoint) []byte {
-	payload := binary.AppendUvarint(nil, prev)
-	payload = binary.AppendUvarint(payload, ck.Watermark)
-	payload = binary.AppendUvarint(payload, uint64(len(ck.Fingerprint)))
-	payload = append(payload, ck.Fingerprint...)
-	payload = binary.AppendUvarint(payload, uint64(len(ck.Ops)))
+	n := uvarintLen(prev) + uvarintLen(ck.Watermark) + strLen(ck.Fingerprint) + uvarintLen(uint64(len(ck.Ops)))
 	for i := range ck.Ops {
 		op := &ck.Ops[i]
-		payload = binary.AppendUvarint(payload, uint64(len(op.Records)))
+		n += uvarintLen(uint64(len(op.Records))) + uvarintLen(uint64(op.Refreshes)) + strLen(op.Key)
 		for j := range op.Records {
-			payload = appendRecord(payload, op.Records[j])
+			n += recordLen(&op.Records[j])
 		}
-		payload = binary.AppendUvarint(payload, uint64(op.Refreshes))
-		payload = binary.AppendUvarint(payload, uint64(len(op.Key)))
-		payload = append(payload, op.Key...)
 	}
 
-	buf := make([]byte, 0, len(ckptMagic)+12+len(payload))
-	buf = append(buf, ckptMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-	return append(buf, payload...)
+	hdr := len(ckptMagic) + 12
+	buf := make([]byte, hdr, hdr+n)
+	copy(buf, ckptMagic)
+	buf = binary.AppendUvarint(buf, prev)
+	buf = binary.AppendUvarint(buf, ck.Watermark)
+	buf = binary.AppendUvarint(buf, uint64(len(ck.Fingerprint)))
+	buf = append(buf, ck.Fingerprint...)
+	buf = binary.AppendUvarint(buf, uint64(len(ck.Ops)))
+	for i := range ck.Ops {
+		op := &ck.Ops[i]
+		buf = binary.AppendUvarint(buf, uint64(len(op.Records)))
+		for j := range op.Records {
+			buf = appendRecord(buf, op.Records[j])
+		}
+		buf = binary.AppendUvarint(buf, uint64(op.Refreshes))
+		buf = binary.AppendUvarint(buf, uint64(len(op.Key)))
+		buf = append(buf, op.Key...)
+	}
+	payload := buf[hdr:]
+	binary.LittleEndian.PutUint32(buf[len(ckptMagic):], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint64(buf[len(ckptMagic)+4:], uint64(len(payload)))
+	return buf
 }
 
 // writeCkptFile atomically publishes buf under name in dir.

@@ -92,3 +92,65 @@ func TestCheckpointV2Compat(t *testing.T) {
 		t.Fatalf("unknown magic accepted: %v", err)
 	}
 }
+
+// encodeCkptPartTwoPass is the kbtckp03 framing built the plain way: the
+// payload first, then a second framed copy. It pins encodeCkptPart's bytes.
+func encodeCkptPartTwoPass(prev uint64, ck *Checkpoint) []byte {
+	payload := binary.AppendUvarint(nil, prev)
+	payload = binary.AppendUvarint(payload, ck.Watermark)
+	payload = binary.AppendUvarint(payload, uint64(len(ck.Fingerprint)))
+	payload = append(payload, ck.Fingerprint...)
+	payload = binary.AppendUvarint(payload, uint64(len(ck.Ops)))
+	for i := range ck.Ops {
+		op := &ck.Ops[i]
+		payload = binary.AppendUvarint(payload, uint64(len(op.Records)))
+		for j := range op.Records {
+			payload = appendRecord(payload, op.Records[j])
+		}
+		payload = binary.AppendUvarint(payload, uint64(op.Refreshes))
+		payload = binary.AppendUvarint(payload, uint64(len(op.Key)))
+		payload = append(payload, op.Key...)
+	}
+	buf := append([]byte(ckptMagic), make([]byte, 12)...)
+	binary.LittleEndian.PutUint32(buf[len(ckptMagic):], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint64(buf[len(ckptMagic)+4:], uint64(len(payload)))
+	return append(buf, payload...)
+}
+
+// TestEncodeCkptPartOneBuffer: the single-buffer encoder writes exactly the
+// bytes of the two-pass framing — across uvarint widths from one to several
+// bytes in every length and counter — and builds a part in at most two
+// allocations however many records it carries.
+func TestEncodeCkptPartOneBuffer(t *testing.T) {
+	long := string(make([]byte, 300)) // a two-byte length prefix
+	var recs []triple.Record
+	for i := range 200 {
+		recs = append(recs, triple.Record{
+			Extractor: fmt.Sprintf("E%d", i%3), Pattern: "p", Website: "w.com", Page: "w.com/" + long[:i],
+			Subject: fmt.Sprintf("S%d", i), Predicate: "pred", Object: "o", Confidence: float64(i) / 200,
+		})
+	}
+	for _, ck := range []*Checkpoint{
+		{},
+		{Watermark: 1, Fingerprint: "fp", Ops: []CheckpointOp{{Refreshes: 1}}},
+		{Watermark: 1 << 40, Fingerprint: long, Ops: []CheckpointOp{
+			{Records: recs, Refreshes: 300, Key: "k1"},
+			{Key: long},
+			{Records: recs[:1]},
+		}},
+	} {
+		for _, prev := range []uint64{0, 127, 128, 1 << 63} {
+			got, want := encodeCkptPart(prev, ck), encodeCkptPartTwoPass(prev, ck)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("prev %d, %d ops: single-buffer part differs from the two-pass framing", prev, len(ck.Ops))
+			}
+			if len(got) != cap(got) {
+				t.Fatalf("prev %d: part sized %d, used %d", prev, cap(got), len(got))
+			}
+		}
+	}
+	ck := &Checkpoint{Watermark: 9, Fingerprint: "fp", Ops: []CheckpointOp{{Records: recs, Refreshes: 1}}}
+	if n := testing.AllocsPerRun(20, func() { encodeCkptPart(3, ck) }); n > 2 {
+		t.Fatalf("encodeCkptPart allocates %v times per part, want ≤ 2", n)
+	}
+}

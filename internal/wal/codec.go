@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"kbt/internal/triple"
 )
@@ -126,6 +127,18 @@ func DecodeEntry(b []byte) (Entry, error) {
 		return Entry{}, fmt.Errorf("wal: unknown entry kind %d", kind)
 	}
 }
+
+// recordLen is the encoded size of r under appendRecord.
+func recordLen(r *triple.Record) int {
+	return strLen(r.Extractor) + strLen(r.Pattern) + strLen(r.Website) + strLen(r.Page) +
+		strLen(r.Subject) + strLen(r.Predicate) + strLen(r.Object) + 8
+}
+
+// strLen is the encoded size of a length-prefixed string.
+func strLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
+// uvarintLen is the size of x under binary.AppendUvarint.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 func appendRecord(buf []byte, r triple.Record) []byte {
 	for _, s := range [...]string{r.Extractor, r.Pattern, r.Website, r.Page, r.Subject, r.Predicate, r.Object} {
